@@ -12,13 +12,7 @@ from .core import (
     rational_str,
     required_chi,
 )
-from .series import (
-    TruncatedSeries,
-    WLaurent,
-    ZMonomial,
-    sqrt_coeff,
-    wlaurent_nonneg_check,
-)
+from .series import TruncatedSeries, ZMonomial, sqrt_coeff
 from .hankel import (
     BranchCoefficients,
     GradedHankel,
@@ -77,7 +71,6 @@ __all__ = [
     "TorsionLedger",
     "TruncatedSeries",
     "TwistedBreakdown",
-    "WLaurent",
     "ZMonomial",
     "arf_census_bruteforce",
     "b_from_cones",
@@ -112,5 +105,4 @@ __all__ = [
     "sqrt_coeff",
     "torsion_degrees",
     "twisted_breakdown",
-    "wlaurent_nonneg_check",
 ]

@@ -15,7 +15,7 @@ import sys
 
 from .core import descendant_multisets, rational_str
 from .invariants import InvariantQuery, evaluate
-from .verify import SUITE_NAMES, Report, run_suite
+from .verify import SUITE_NAMES, Report, run_suite, suite_bounds
 
 
 class UsageError(Exception):
@@ -156,8 +156,12 @@ def _render_report(report: Report, fmt: str) -> None:
 
 
 def _cmd_verify(args) -> int:
+    taken = suite_bounds(args.suite)
     for name in ("hmax", "kmax", "alpha_budget"):
-        _require_positive(name.replace("_", "-"), getattr(args, name))
+        flag, value = name.replace("_", "-"), getattr(args, name)
+        if value is not None and name not in taken:
+            raise UsageError(f"--{flag} does not apply to suite {args.suite!r}")
+        _require_positive(flag, value)
     report = run_suite(
         args.suite, hmax=args.hmax, kmax=args.kmax, alpha_budget=args.alpha_budget
     )

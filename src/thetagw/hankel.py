@@ -10,8 +10,31 @@ with no truncation bookkeeping inside the solver.
 
 The end product is :func:`branch_identity_holds`, which decides whether the
 degree-2 branch-point divisor identity is satisfiable modulo z^n by the
-unique graded candidate: it is exactly when n <= 2k+1, with the obstruction
-carried by the constant-in-w coefficient z * B_k^2.
+unique graded candidate: it is exactly when n <= 2k+1.  Every coefficient
+of w^{-m} in the candidate carries z^m, so the analysis runs in the single
+variable t = z/w, where the obstruction is the t^{2k+1} coefficient b_k^2
+of the residual r(t) = f^2 - (1 - t) g^2 (the constant-in-w term z * B_k^2
+of the bivariate residual).
+
+Why 2k+1 for every k.  Put s = sqrt(1 - t) and expand
+(1 + s)^{2k+1} = P + s Q with P, Q of degree <= k in t.  Then
+(1 - s)^{2k+1} = P - s Q = O(t^{2k+1}), so Q(0) = 4^k and g = Q/4^k solves
+the graded system (s g has no t^{k+1} .. t^{2k} terms; the solution is
+unique because the Hankel determinant below is nonzero), f = P/4^k, and
+f/g is the [k/k] Pade approximant of s.  Hence
+
+    (P + s Q)(P - s Q) = (1 - s^2)^{2k+1} = t^{2k+1},
+    r = (P^2 - (1 - t) Q^2) / 16^k = t^{2k+1} / 16^k,
+
+whose t-adic valuation is 2k+1, with b_k = (-1/4)^k.  The determinant
+closed forms follow from D_j = -2 Cat_{j-1} / 4^j (j >= 1) and the
+classical evaluations det[Cat_{i+j}] = det[Cat_{i+j+1}] = 1 for
+0 <= i, j < k (Aigner, "Catalan-like numbers and determinants";
+Krattenthaler, "Advanced determinant calculus").  Pulling 4^{-i} out of
+row i and 4^{-j} out of column j gives det = (-2)^k / 4^{k^2} z^{k^2} for
+shift 1 and (-2)^k / 4^{k^2+k} z^{k^2+k} for shift 2.  The finite sweeps
+in the tests and the verify suite stay as regression checks; the solver
+never uses these closed forms.
 """
 
 from __future__ import annotations
@@ -20,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import InternalInconsistencyError
-from .series import TruncatedSeries, WLaurent, ZMonomial, sqrt_coeff, wlaurent_nonneg_check
+from .series import TruncatedSeries, ZMonomial, sqrt_coeff
 
 
 def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
@@ -122,70 +145,62 @@ def solve_branch_system(k: int) -> BranchCoefficients:
     return BranchCoefficients(k, coeffs)
 
 
+def _branch_residual(k: int) -> TruncatedSeries:
+    """The residual r(t) = f^2 - (1 - t) g^2 of the flag-level-k candidate.
+
+    g = 1 + b_1 t + ... + b_k t^k comes from the graded solve (g = 1 at
+    k = 0) and f is the degree <= k part of sqrt(1 - t) g.  r has degree
+    <= 2k+1, so order 2k+2 holds it exactly.
+    """
+    if k < 0:
+        raise ValueError("flag level must be >= 0")
+    g_coeffs = [Fraction(1)]
+    if k >= 1:
+        sol = solve_branch_system(k)
+        g_coeffs += [sol.b(j).coeff for j in range(1, k + 1)]
+    order = 2 * k + 2
+    g = TruncatedSeries(g_coeffs, order)
+    root = TruncatedSeries([sqrt_coeff(j).coeff for j in range(k + 1)], order)
+    f = TruncatedSeries((root * g).coeffs[: k + 1], order)
+    residual = f * f - TruncatedSeries((1, -1), order) * g * g
+
+    # the graded solve kills t^0 .. t^{2k} identically
+    if any(residual.coeffs[: 2 * k + 1]):
+        raise InternalInconsistencyError(
+            f"residual has unexpected terms below t^{2 * k + 1}: {residual!r}"
+        )
+    top, bk = residual.coeffs[2 * k + 1], g_coeffs[k]
+    if top != bk**2:
+        raise InternalInconsistencyError(
+            f"t^{2 * k + 1} residual coefficient {top} != b_k^2 = {bk**2}"
+        )
+    return residual
+
+
 def branch_identity_holds(k: int, n: int) -> bool:
     """Decide solvability modulo z^n of the branch-point divisor identity
     at flag level k.
 
-    The candidate is assembled from the graded solve: g collects the B_j,
-    h is the adequately truncated sqrt(1 - z/w) times g, and f keeps the
-    w-degree <= k part of h (its coefficients are the defining relations
-    A_j = C_j).  Returns True iff the residual w^{2k+1} (f^2 - h^2) has no
-    negative-w-exponent term surviving modulo z^n AND its constant-in-w
-    coefficient, which equals z * B_k^2, vanishes modulo z^n.
+    The candidate is g = 1 + B_1 w^{-1} + ... + B_k w^{-k} from the graded
+    solve, and f keeps the w-degree <= k part of sqrt(1 - z/w) g (its
+    coefficients are the defining relations A_j = C_j).  In t = z/w the
+    residual w^{2k+1} (f^2 - (1 - z/w) g^2) becomes r(t) = f^2 - (1 - t) g^2,
+    whose t^m coefficient sits at z^m; the identity holds modulo z^n iff r
+    vanishes modulo t^n.
 
     k = 0 is allowed (empty system, g = 1); the flag-level sweep that reads
     off torsion exponents needs it.
     """
-    if k < 0:
-        raise ValueError("flag level must be >= 0")
     if n < 1:
         raise ValueError("congruence order must be >= 1")
-    order = max(n, 2 * k + 2)
-    one = TruncatedSeries.one(order)
-
-    g_terms = {0: one}
-    if k >= 1:
-        sol = solve_branch_system(k)
-        for mono in sol.coeffs:
-            g_terms[-mono.exp] = mono.as_series(order)
-        bk = sol.b(k)
-    else:
-        bk = ZMonomial(Fraction(1), 0)
-    g = WLaurent(g_terms)
-
-    depth = 2 * k + 1
-    root = WLaurent({-j: sqrt_coeff(j).as_series(order) for j in range(depth + 1)})
-    h = root * g
-    f_terms = {}
-    for j in range(k + 1):
-        c = h.coefficient(-j)
-        if c is not None:
-            f_terms[-j] = c
-    f = WLaurent(f_terms)
-
-    residual = (f * f - h * h) * WLaurent({depth: one})
-
-    # the graded solve kills every positive-w-exponent term identically
-    for e in residual.exponents():
-        if e > 0:
-            raise InternalInconsistencyError(
-                f"residual has unexpected w^{e} term: {residual.coefficient(e)!r}"
-            )
-    const = residual.coefficient(0)
-    obstruction = ZMonomial(bk.coeff**2, 2 * bk.exp + 1)  # z * B_k^2
-    if const != obstruction.as_series(order):
-        raise InternalInconsistencyError(
-            f"constant-w residual {const!r} != z*B_k^2 = {obstruction}"
-        )
-    return wlaurent_nonneg_check(residual, n) and const.is_zero_mod(n)
+    return n <= _branch_residual(k).z_order()
 
 
 def max_solvable_order(k: int) -> int:
-    """Largest n for which :func:`branch_identity_holds` is true; this is
-    the torsion exponent attached to flag level k."""
-    n = 1
-    if not branch_identity_holds(k, n):
+    """Largest n for which :func:`branch_identity_holds` is true, i.e. the
+    t-adic valuation of the residual; this is the torsion exponent attached
+    to flag level k."""
+    n = _branch_residual(k).z_order()
+    if n < 1:
         raise InternalInconsistencyError("identity must hold modulo z")
-    while branch_identity_holds(k, n + 1):
-        n += 1
     return n

@@ -1,26 +1,21 @@
-"""Truncated power series in z over exact rationals, and finite Laurent
-polynomials in an auxiliary variable w whose coefficients are such series.
+"""Truncated power series over exact rationals, and the square-root
+coefficients of the branch-point analysis.
 
 A :class:`TruncatedSeries` stores dense coefficients for z^0 .. z^(N-1) and
 is exact modulo z^N.  Binary operations truncate to the smaller operand
 order, so a result never claims more precision than its inputs support.
+The branch-point analysis uses it for polynomials in t = z/w, sized so
+that nothing is truncated away.
 
-:class:`WLaurent` carries objects of the branch-point analysis, e.g.
-
-    g = 1 + B_1 w^{-1} + ... + B_k w^{-k}
-
-with every coefficient a truncated series in z.  The square root
-sqrt(1 - z/w) enters only through the coefficient extractor
-:func:`sqrt_coeff`; callers assemble whatever finite w-truncation of it
-they need.  All the series appearing here are z-graded monomials or short
-polynomials, so dense storage is the right trade.
+The square root sqrt(1 - z/w) enters only through the coefficient
+extractor :func:`sqrt_coeff`, which returns the w^{-j} coefficient as the
+z-graded monomial it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .core import binomial
 
@@ -45,9 +40,6 @@ class ZMonomial:
     @property
     def is_zero(self) -> bool:
         return self.coeff == 0
-
-    def as_series(self, order: int) -> "TruncatedSeries":
-        return TruncatedSeries.monomial(self.coeff, self.exp, order)
 
     def __str__(self) -> str:
         if self.exp == 0:
@@ -80,10 +72,6 @@ class TruncatedSeries:
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
         return cls((), order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls((1,), order)
 
     @classmethod
     def monomial(cls, coeff, exp: int, order: int) -> "TruncatedSeries":
@@ -135,13 +123,6 @@ class TruncatedSeries:
                 return i
         return None
 
-    def is_zero_mod(self, m: int) -> bool:
-        """True when the series is 0 modulo z^m (only stored coefficients
-        are consulted; m may not exceed the truncation order)."""
-        if m > self.order:
-            raise ValueError("is_zero_mod beyond truncation order")
-        return all(c == 0 for c in self.coeffs[:m])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -176,70 +157,3 @@ def sqrt_coeff(j: int) -> ZMonomial:
     if j == 0:
         return ZMonomial(Fraction(1), 0)
     return ZMonomial(Fraction(-binomial(2 * j - 2, j - 1), j * 2 ** (2 * j - 1)), j)
-
-
-class WLaurent:
-    """Finite Laurent polynomial in w with TruncatedSeries coefficients.
-
-    Terms whose coefficient series is identically zero (within its stored
-    precision) are never kept.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, TruncatedSeries]):
-        self.terms = {e: s for e, s in terms.items() if s.z_order() is not None}
-
-    @classmethod
-    def monomial(cls, exp: int, series: TruncatedSeries) -> "WLaurent":
-        return cls({exp: series})
-
-    def coefficient(self, exp: int) -> TruncatedSeries | None:
-        return self.terms.get(exp)
-
-    def exponents(self) -> list[int]:
-        return sorted(self.terms)
-
-    def __add__(self, other: "WLaurent") -> "WLaurent":
-        acc = dict(self.terms)
-        for e, s in other.terms.items():
-            acc[e] = acc[e] + s if e in acc else s
-        return WLaurent(acc)
-
-    def __neg__(self) -> "WLaurent":
-        return WLaurent({e: -s for e, s in self.terms.items()})
-
-    def __sub__(self, other: "WLaurent") -> "WLaurent":
-        return self + (-other)
-
-    def __mul__(self, other: "WLaurent") -> "WLaurent":
-        acc: dict[int, TruncatedSeries] = {}
-        for e1, s1 in self.terms.items():
-            for e2, s2 in other.terms.items():
-                e = e1 + e2
-                p = s1 * s2
-                acc[e] = acc[e] + p if e in acc else p
-        return WLaurent(acc)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WLaurent):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "WLaurent(0)"
-        parts = [f"w^{e}*({s!r})" for e, s in sorted(self.terms.items(), reverse=True)]
-        return "WLaurent(" + " + ".join(parts) + ")"
-
-
-def wlaurent_nonneg_check(p: WLaurent, zmod: int) -> bool:
-    """True iff every term of ``p`` with negative w-exponent vanishes
-    modulo z^zmod."""
-    for e, s in p.terms.items():
-        if e < 0 and not s.is_zero_mod(zmod):
-            return False
-    return True

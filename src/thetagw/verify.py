@@ -417,6 +417,13 @@ _DEFAULT_BOUNDS = {
 }
 
 
+def suite_bounds(suite: str) -> frozenset[str]:
+    """Names of the sweep bounds ``suite`` takes; for "all", every bound
+    some suite takes."""
+    funcs = _SUITE_FUNCS.values() if suite == "all" else [_SUITE_FUNCS[suite]]
+    return frozenset(key for _, accepted in funcs for key in accepted)
+
+
 def _merge_coverage(into: dict[str, set[str]], add: dict[str, frozenset[str]]) -> None:
     for module, ops in add.items():
         into.setdefault(module, set()).update(ops)

@@ -157,6 +157,23 @@ def test_verify_bad_bounds(capsys):
     assert "error" in json.loads(errtext)
 
 
+def test_verify_rejects_bounds_no_selected_suite_takes(capsys):
+    for argv in (
+        ("--suite", "degeneration", "--kmax", "3"),
+        ("--suite", "hankel", "--hmax", "3"),
+        ("--suite", "parity", "--alpha-budget", "2"),
+    ):
+        code, out, errtext = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "does not apply" in json.loads(errtext)["error"]
+    code, _, _ = run_cli(
+        capsys, "verify", "--suite", "all", "--hmax", "2", "--kmax", "2",
+        "--alpha-budget", "2",
+    )
+    assert code == 0
+
+
 def test_run_suite_rejects_unknown():
     with pytest.raises(ValueError):
         run_suite("bogus")

@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from thetagw.core import binomial
 from thetagw.hankel import (
     GradedHankel,
+    _branch_residual,
     branch_identity_holds,
     hankel_det,
     max_solvable_order,
     solve_branch_system,
 )
-from thetagw.series import ZMonomial, sqrt_coeff
+from thetagw.series import TruncatedSeries, ZMonomial, sqrt_coeff
 
 
 def test_det_size_one():
@@ -90,7 +92,7 @@ def test_monotone_in_congruence_order(k):
 def test_torsion_exponents_from_boundary():
     # flag level k supports the identity exactly up to order 2k+1, so the
     # exponents read off per level are 1, 3, 5, ...
-    assert [max_solvable_order(k) for k in range(6)] == [1, 3, 5, 7, 9, 11]
+    assert [max_solvable_order(k) for k in range(12)] == [2 * k + 1 for k in range(12)]
 
 
 def test_branch_identity_validates_input():
@@ -101,22 +103,39 @@ def test_branch_identity_validates_input():
 
 
 def test_residual_of_solved_k1_system_by_direct_expansion():
-    # assemble w^3 (f^2 - h^2) for the solved k = 1 system by hand and run
-    # the negative-exponent check at the boundary order
-    from thetagw.series import TruncatedSeries, WLaurent, wlaurent_nonneg_check
+    # k = 1: g = 1 + b_1 t and f = 1 + (b_1 + D_1) t; expand f^2 - (1-t) g^2
+    # by hand and compare with the library's residual t^3/16
+    b1 = solve_branch_system(1).b(1).coeff
+    d1 = sqrt_coeff(1).coeff
+    assert (b1, d1) == (Fraction(-1, 4), Fraction(-1, 2))
+    f1 = b1 + d1
+    by_hand = [0, 2 * f1 - 2 * b1 + 1, f1**2 - b1**2 + 2 * b1, b1**2]
+    assert by_hand == [0, 0, 0, Fraction(1, 16)]
+    assert _branch_residual(1) == TruncatedSeries(by_hand, 4)
 
-    order = 5
-    one = TruncatedSeries.one(order)
-    sol = solve_branch_system(1)
-    g = WLaurent({0: one, -1: sol.b(1).as_series(order)})
-    root = WLaurent({-j: sqrt_coeff(j).as_series(order) for j in range(4)})
-    h = root * g
-    f = WLaurent({0: h.coefficient(0), -1: h.coefficient(-1)})
-    residual = (f * f - h * h) * WLaurent({3: one})
-    assert wlaurent_nonneg_check(residual, 3)
-    # the constant-in-w coefficient carries the obstruction z * B_1^2
-    assert residual.coefficient(0) == TruncatedSeries.monomial(
-        Fraction(1, 16), 3, order
-    )
-    # every term at positive w-exponent cancels exactly
-    assert all(e <= 0 for e in residual.exponents())
+
+def _pade_pair(k):
+    """(P, Q) with (1 + s)^{2k+1} = P + s Q, s^2 = 1 - t, as t-coefficient
+    lists built from binomials alone."""
+    p, q = [0] * (k + 1), [0] * (k + 1)
+    for i in range(2 * k + 2):
+        # C(2k+1, i) s^i with s^i = s^{i mod 2} (1 - t)^m, m = i // 2
+        target, m = (q if i % 2 else p), i // 2
+        for e in range(m + 1):
+            target[e] += binomial(2 * k + 1, i) * binomial(m, e) * (-1) ** e
+    return p, q
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_branch_candidate_is_the_pade_approximant(k):
+    p, q = _pade_pair(k)
+    sol = solve_branch_system(k)
+    g = [Fraction(1)] + [sol.b(j).coeff for j in range(1, k + 1)]
+    assert g == [Fraction(c, 4**k) for c in q]
+    f = [
+        sum(sqrt_coeff(m - j).coeff * g[j] for j in range(m + 1))
+        for m in range(k + 1)
+    ]
+    assert f == [Fraction(c, 4**k) for c in p]
+    expected = [0] * (2 * k + 1) + [Fraction(1, 16**k)]
+    assert _branch_residual(k) == TruncatedSeries(expected, 2 * k + 2)
