@@ -1,9 +1,12 @@
 """Command-line front end: evaluate invariants, run verification suites,
 emit value tables.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All values
-are printed as exact rational strings; --float adds a decimal convenience
-column without ever replacing the exact field.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 any other
+error (with {"error": "<ExcType>: <message>"} on stderr), so a crash never
+reads as a verification failure.  All values are printed as exact rational
+strings, however many digits they have; --float adds a decimal convenience
+column (IEEE overflow to +-inf past the double range) without ever
+replacing the exact field.
 """
 
 from __future__ import annotations
@@ -11,11 +14,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from fractions import Fraction
 
 from .core import descendant_multisets, rational_str
 from .invariants import InvariantQuery, evaluate
 from .verify import SUITE_NAMES, Report, run_suite, suite_bounds
+
+
+# Largest genus (--genus, --hmax) and descendant exponent the CLI accepts.
+MAX_GENUS = 10**6
+MAX_EXPONENT = 10**4
 
 
 class UsageError(Exception):
@@ -38,12 +48,28 @@ def _parse_alphas(text: str) -> tuple[int, ...]:
         raise UsageError(f"alphas must be a comma list of integers, got {text!r}")
     if any(v < 0 for v in values):
         raise UsageError("descendant exponents must be >= 0")
+    if any(v > MAX_EXPONENT for v in values):
+        raise UsageError(f"descendant exponents must be <= {MAX_EXPONENT}")
     return values
 
 
 def _require_positive(name: str, value: int | None) -> None:
     if value is not None and value < 1:
         raise UsageError(f"{name} must be >= 1")
+
+
+def _require_genus_limit(name: str, value: int | None) -> None:
+    if value is not None and value > MAX_GENUS:
+        raise UsageError(f"{name} must be <= {MAX_GENUS}")
+
+
+def _to_float(value: Fraction) -> float:
+    """Nearest double, or an infinity of the value's sign past the double
+    range (IEEE overflow)."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _invariant_record(degree: int, h: int, parity: str, alphas: tuple[int, ...],
@@ -59,7 +85,7 @@ def _invariant_record(degree: int, h: int, parity: str, alphas: tuple[int, ...],
         "value": rational_str(value),
     }
     if with_float:
-        record["value_float"] = float(value)
+        record["value_float"] = _to_float(value)
     return record
 
 
@@ -104,6 +130,7 @@ def _emit_records(records: list[dict], fmt: str, with_float: bool) -> None:
 def _cmd_invariant(args) -> int:
     if args.genus < 0:
         raise UsageError("genus must be >= 0")
+    _require_genus_limit("genus", args.genus)
     alphas = _parse_alphas(args.alphas)
     record = _invariant_record(args.degree, args.genus, args.parity, alphas, args.float)
     _emit_records([record], args.format, args.float)
@@ -112,6 +139,7 @@ def _cmd_invariant(args) -> int:
 
 def _cmd_table(args) -> int:
     _require_positive("hmax", args.hmax)
+    _require_genus_limit("hmax", args.hmax)
     _require_positive("alpha-budget", args.alpha_budget)
     records = []
     for h in range(args.hmax + 1):
@@ -162,6 +190,7 @@ def _cmd_verify(args) -> int:
         if value is not None and name not in taken:
             raise UsageError(f"--{flag} does not apply to suite {args.suite!r}")
         _require_positive(flag, value)
+    _require_genus_limit("hmax", args.hmax)
     report = run_suite(
         args.suite, hmax=args.hmax, kmax=args.kmax, alpha_budget=args.alpha_budget
     )
@@ -205,11 +234,21 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact values outgrow the interpreter's int->str digit limit, where it has one.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
+        return 3
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

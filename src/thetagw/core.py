@@ -3,17 +3,59 @@
 Every value in this package is an exact rational; the scalar type throughout
 is `fractions.Fraction`, re-exported as `Rational`.  Nothing here (or
 anywhere downstream) rounds.
+
+The operations the verify suites must exercise are marked with :func:`op`;
+:func:`recording_ops` measures which of them actually run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 Rational = Fraction
+
+# "module.name" of every function marked with @op.
+OPS: set[str] = set()
+
+_running_ops: ContextVar[set[str] | None] = ContextVar("running_ops", default=None)
+
+
+def op(fn):
+    """Register ``fn`` as an operation the verify suites must exercise, and
+    note each call to it inside :func:`recording_ops`."""
+    name = f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}"
+    OPS.add(name)
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        seen = _running_ops.get()
+        if seen is not None:
+            seen.add(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@contextmanager
+def recording_ops():
+    """Yield the set of registered op names that run inside the block;
+    an enclosing recording sees them too."""
+    seen: set[str] = set()
+    token = _running_ops.set(seen)
+    try:
+        yield seen
+    finally:
+        _running_ops.reset(token)
+        outer = _running_ops.get()
+        if outer is not None:
+            outer |= seen
 
 
 class InternalInconsistencyError(RuntimeError):

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Partition, partitions_of
+from .core import Partition, op, partitions_of
 from .invariants import (
     InvariantQuery,
     degree2,
@@ -55,6 +55,7 @@ class Channel:
         return self.coefficient * self.y1_value * self.y2_value
 
 
+@op
 def bubble_channel_11(alphas) -> Fraction:
     """(1,1)-contact bubble invariant with the given point-class
     descendants: sum over all functions from the insertion set to the two
@@ -72,6 +73,7 @@ def bubble_channel_11(alphas) -> Fraction:
     return total
 
 
+@op
 def solve_channel2(alphas) -> Fraction:
     """The full-contact channel product, back-solved from the genus-0 base
     case where the spin-side (1,1) factor is 1:
@@ -80,6 +82,7 @@ def solve_channel2(alphas) -> Fraction:
     return (degree2_base(alphas) - Fraction(1, 2) * bubble_channel_11(alphas)) / 2
 
 
+@op
 def degree2_channels(h: int, parity: int, alphas) -> list[Channel]:
     """Both gluing channels with their values filled in."""
     alphas = tuple(alphas)
@@ -94,6 +97,7 @@ def degree2_channels(h: int, parity: int, alphas) -> list[Channel]:
     return out
 
 
+@op
 def gluing_consistent(h: int, parity: int, alphas) -> bool:
     """Exact equality of the closed degree-2 formula with the assembled
     gluing sum."""
@@ -103,6 +107,7 @@ def gluing_consistent(h: int, parity: int, alphas) -> bool:
     return lhs == rhs
 
 
+@op
 def chi_constraint(chi1: int, chi2: int, eta: Partition) -> int:
     """Euler characteristic glued from the two sides meeting along the
     contact divisor: chi1 + chi2 - l(eta)."""

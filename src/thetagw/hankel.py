@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import InternalInconsistencyError
+from .core import InternalInconsistencyError, op
 from .series import TruncatedSeries, ZMonomial, sqrt_coeff
 
 
@@ -97,6 +97,7 @@ class GradedHankel:
         return ZMonomial(_bareiss_det(self.numeric()), exp)
 
 
+@op
 def hankel_det(k: int, shift: int) -> ZMonomial:
     """Exact determinant of (G_shift .. G_{shift+k-1}) as a z-monomial."""
     return GradedHankel(k, shift).det()
@@ -120,6 +121,7 @@ class BranchCoefficients:
         return self.coeffs[self.k - j]
 
 
+@op
 def solve_branch_system(k: int) -> BranchCoefficients:
     """Solve (G_1 .. G_k) B = -G_{k+1} by Cramer's rule on the numeric
     parts, then re-grade."""
@@ -177,6 +179,7 @@ def _branch_residual(k: int) -> TruncatedSeries:
     return residual
 
 
+@op
 def branch_identity_holds(k: int, n: int) -> bool:
     """Decide solvability modulo z^n of the branch-point divisor identity
     at flag level k.
@@ -196,6 +199,7 @@ def branch_identity_holds(k: int, n: int) -> bool:
     return n <= _branch_residual(k).z_order()
 
 
+@op
 def max_solvable_order(k: int) -> int:
     """Largest n for which :func:`branch_identity_holds` is true, i.e. the
     t-adic valuation of the residual; this is the torsion exponent attached

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import InternalInconsistencyError, required_chi
+from .core import InternalInconsistencyError, op, required_chi
 
 
 def descendant_block(a: int) -> Fraction:
@@ -69,6 +69,7 @@ class InvariantQuery:
         return (-1) ** self.parity
 
 
+@op
 def degree1(q: InvariantQuery) -> Fraction:
     if q.d != 1:
         raise ValueError("degree1 requires d = 1")
@@ -78,6 +79,7 @@ def degree1(q: InvariantQuery) -> Fraction:
     return value
 
 
+@op
 def degree2(q: InvariantQuery) -> Fraction:
     if q.d != 2:
         raise ValueError("degree2 requires d = 2")
@@ -88,6 +90,7 @@ def degree2(q: InvariantQuery) -> Fraction:
     return value
 
 
+@op
 def degree2_base(alphas) -> Fraction:
     """Degree-2 invariant of the rational base case (genus 0, even parity):
     2^{n-1} * prod_i a_i!/(2a_i+1)! * (-2)^{a_i}."""
@@ -102,6 +105,7 @@ def evaluate(q: InvariantQuery) -> Fraction:
     return degree1(q) if q.d == 1 else degree2(q)
 
 
+@op
 def relative_invariant_table(h: int, parity: int) -> dict[str, Fraction]:
     """Relative invariants entering the degree-2 gluing formula, reduced to
     their scalars against point classes.
@@ -147,6 +151,7 @@ class TwistedBreakdown:
             )
 
 
+@op
 def twisted_breakdown(h: int) -> TwistedBreakdown:
     """Twisted-invariant arithmetic at genus h >= 2:
     (h - 8/3) 2^{2h-3} minus 2^{2h} copies of -1/12 leaves (h-2) 2^{2h-3}."""
@@ -162,6 +167,7 @@ def twisted_breakdown(h: int) -> TwistedBreakdown:
     )
 
 
+@op
 def degree2_tau1_decomposition(h: int, parity: int) -> dict[str, Fraction]:
     """Split the degree-2 single-tau_1 invariant over the 2^{2h} + 1
     connected components of its moduli: the etale-cover components

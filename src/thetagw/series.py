@@ -31,16 +31,6 @@ class ZMonomial:
         if self.exp < 0:
             raise ValueError("z-exponent must be >= 0")
 
-    def __mul__(self, other: "ZMonomial") -> "ZMonomial":
-        return ZMonomial(self.coeff * other.coeff, self.exp + other.exp)
-
-    def __neg__(self) -> "ZMonomial":
-        return ZMonomial(-self.coeff, self.exp)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
     def __str__(self) -> str:
         if self.exp == 0:
             return str(self.coeff)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import op
+
 VARIANTS = ("unweighted", "weighted", "connected_weighted")
 
 
@@ -33,6 +35,7 @@ class ParityCensus:
         return self.even_count - self.odd_count
 
 
+@op
 def parity_census(h: int) -> ParityCensus:
     """Closed-form census: 2^{h-1}(2^h + 1) even parities out of 2^{2h}
     (a single even one when h = 0)."""
@@ -43,6 +46,7 @@ def parity_census(h: int) -> ParityCensus:
     return ParityCensus(h=h, total=total, even_count=even, odd_count=total - even)
 
 
+@op
 def arf_census_bruteforce(h: int) -> ParityCensus:
     """Independent oracle for :func:`parity_census`.
 
@@ -63,6 +67,7 @@ def arf_census_bruteforce(h: int) -> ParityCensus:
     return ParityCensus(h=h, total=total, even_count=even, odd_count=total - even)
 
 
+@op
 def signed_double_cover_sum(h: int, parity: int, variant: str) -> Fraction:
     """Sum of (-1)^{h^0(u^* L)} over etale double covers u of a genus-h
     curve carrying a theta characteristic L of the given parity.

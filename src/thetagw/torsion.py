@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import InternalInconsistencyError, binomial
+from .core import InternalInconsistencyError, binomial, op
 
 FAMILIES = ("prime", "dblprime")
 
@@ -55,6 +55,7 @@ class TorsionLedger:
     lambda_dblprime: tuple[int, ...]
 
 
+@op
 def build_ledger(h: int) -> TorsionLedger:
     """Populate the ledger from the defining finite sums, cross-checking
     the closed forms for a."""
@@ -78,6 +79,7 @@ def build_ledger(h: int) -> TorsionLedger:
     return TorsionLedger(h=h, a=a, b=b, lambda_prime=lam_p, lambda_dblprime=lam_pp)
 
 
+@op
 def torsion_degrees(h: int) -> dict[str, Fraction]:
     """Half-weighted total torsion degrees over the two exceptional loci:
     sum_r 1/2 * a_{2r} * C(2h+2, h-2-2r) over the prime locus and the
@@ -96,6 +98,7 @@ def torsion_degrees(h: int) -> dict[str, Fraction]:
     return {"over_lambda_prime": over_prime, "over_lambda_dblprime": over_dblprime}
 
 
+@op
 def cone_multiplicity_table(r: int, family: str) -> list[tuple[int, int]]:
     """(rank defect, multiplicity) of the r+1 exceptional cone components
     at ramification level r: multiplicities 2i+1 in the prime family and
@@ -108,6 +111,7 @@ def cone_multiplicity_table(r: int, family: str) -> list[tuple[int, int]]:
     return [(r + 1 - i, 2 * i + step) for i in range(r + 1)]
 
 
+@op
 def b_from_cones(j: int) -> int:
     """Second route to b_j: alternating sum of cone multiplicities signed
     by their rank defects."""
@@ -116,6 +120,7 @@ def b_from_cones(j: int) -> int:
     return sum((-1) ** defect * mult for defect, mult in table)
 
 
+@op
 def branched_cover_identity(h: int) -> bool:
     """The closing identity of the branched-cover contribution:
     (h-2) 2^{2h-3} - sum_j C(2h+2, h-2-j) (a_j - b_j)/2 == -2^{h-2}."""
@@ -127,6 +132,7 @@ def branched_cover_identity(h: int) -> bool:
     return lhs == -(2 ** (h - 2))
 
 
+@op
 def branched_cover_total(h: int, parity: int) -> Fraction:
     """Signed branched-cover contribution assembled from the ledger, for
     cross-checking against the component decomposition of the closed

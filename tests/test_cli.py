@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from thetagw.cli import main
-from thetagw.verify import REQUIRED_OPS, run_suite
+from thetagw import verify
+from thetagw.cli import MAX_EXPONENT, MAX_GENUS, main
+from thetagw.core import OPS, InternalInconsistencyError
+from thetagw.invariants import InvariantQuery, degree2
+from thetagw.verify import run_suite
 
 
 def run_cli(capsys, *argv):
@@ -54,8 +59,6 @@ def test_json_round_trip(capsys):
     record = json.loads(out)
     assert set(record) == {"degree", "h", "parity", "alphas", "chi", "value"}
     value = Fraction(record["value"])
-    from thetagw.invariants import InvariantQuery, degree2
-
     assert value == degree2(InvariantQuery(2, 4, 1, (1, 2)))
 
 
@@ -137,8 +140,8 @@ def test_verify_all_json_and_coverage(capsys):
     assert payload["passed"] is True
     names = {c["name"] for c in payload["checks"]}
     assert "coverage/all-operations-exercised" in names
-    for module, ops in REQUIRED_OPS.items():
-        assert set(payload["coverage"][module]) >= set(ops)
+    covered = {f"{m}.{op}" for m, ops in payload["coverage"].items() for op in ops}
+    assert covered == OPS
 
 
 def test_verify_csv_format(capsys):
@@ -200,3 +203,109 @@ def test_report_failure_shape():
     assert report.passed
     assert report.failures == []
     assert all(c.lhs and c.rhs for c in report.checks)
+
+
+def test_coverage_fails_when_a_suite_stops_calling_an_op(monkeypatch):
+    monkeypatch.setitem(verify._SUITE_FUNCS, "parity", (lambda hmax=12: [], ("hmax",)))
+    report = run_suite("all", hmax=3, kmax=2, alpha_budget=2)
+    [coverage] = [c for c in report.checks if c.name == "coverage/all-operations-exercised"]
+    assert not coverage.passed
+    assert coverage.lhs == "missing: spin.arf_census_bruteforce"
+    assert not any(c.name.startswith("parity/") for c in report.checks)
+
+
+def test_suite_that_raises_does_not_abort_the_report(capsys, monkeypatch):
+    bounds = ("--hmax", "3", "--kmax", "2", "--alpha-budget", "2")
+    _, clean, _ = run_cli(capsys, "verify", "--suite", "all", *bounds)
+
+    def broken(k, shift):
+        raise InternalInconsistencyError("determinant went astray")
+
+    monkeypatch.setattr("thetagw.hankel.hankel_det", broken)
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", *bounds)
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert (
+        "FAIL hankel/raised lhs=InternalInconsistencyError: determinant went astray "
+        "rhs=no exception"
+    ) in out.splitlines()
+    other_suites = ("parity/", "etale/", "degeneration/", "torsion/")
+    kept = [line for line in clean.splitlines() if line.split(" ")[-1].startswith(other_suites)]
+    assert kept and set(kept) <= set(out.splitlines())
+
+
+def test_invariant_prints_values_past_the_int_str_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(
+        capsys, "invariant", "--degree", "2", "--genus", "20000", "--parity", "odd",
+        "--alphas", "1,2,3",
+    )
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    printed = dict(token.split("=") for token in out.split())["value"]
+    assert len(printed) > 4300
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(printed) == degree2(InvariantQuery(2, 20000, 1, (1, 2, 3)))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_genus_and_exponent_limits_are_usage_errors(capsys):
+    for argv in (
+        ("invariant", "--degree", "2", "--genus", str(MAX_GENUS + 1), "--parity", "even"),
+        ("invariant", "--degree", "1", "--genus", "1", "--parity", "even",
+         "--alphas", f"1,{MAX_EXPONENT + 1}"),
+        ("table", "--degree", "2", "--hmax", str(MAX_GENUS + 1), "--parity", "odd"),
+        ("verify", "--suite", "torsion", "--hmax", str(MAX_GENUS + 1)),
+    ):
+        code, out, errtext = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "must be <=" in json.loads(errtext)["error"]
+    code, out, _ = run_cli(
+        capsys, "invariant", "--degree", "1", "--genus", "1", "--parity", "even",
+        "--alphas", str(MAX_EXPONENT), "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["alphas"] == [MAX_EXPONENT]
+
+
+def test_float_column_overflows_to_a_signed_infinity(capsys):
+    for parity, sign in (("even", 1), ("odd", -1)):
+        code, out, _ = run_cli(
+            capsys, "invariant", "--degree", "2", "--genus", "1100", "--parity", parity,
+            "--float", "--format", "json",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert Fraction(record["value"]) == degree2(InvariantQuery(2, 1100, int(parity == "odd"), ()))
+        assert record["value_float"] == sign * math.inf
+    code, out, _ = run_cli(
+        capsys, "table", "--degree", "2", "--hmax", "1030", "--parity", "even",
+        "--alpha-budget", "1", "--float",
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    for row in rows:
+        value = Fraction(row[5])
+        if abs(value) < sys.float_info.max:
+            assert float(row[6]) == float(value)
+        else:
+            assert float(row[6]) == (math.inf if value > 0 else -math.inf)
+    assert {row[6] for row in rows} >= {"inf", "-inf"}
+
+
+def test_unexpected_exception_exits_3_with_json(capsys, monkeypatch):
+    from thetagw import cli as cli_mod
+
+    def boom(query):
+        raise RuntimeError("evaluator exploded")
+
+    monkeypatch.setattr(cli_mod, "evaluate", boom)
+    code, out, errtext = run_cli(
+        capsys, "invariant", "--degree", "1", "--genus", "2", "--parity", "even",
+    )
+    assert (code, out) == (3, "")
+    assert json.loads(errtext) == {"error": "RuntimeError: evaluator exploded"}

@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from thetagw.core import (
+    OPS,
     Partition,
     binomial,
     descendant_multisets,
     parse_rational,
     partitions_of,
     rational_str,
+    recording_ops,
     required_chi,
 )
+from thetagw import hankel, invariants, spin
 
 
 def test_binomial_boundaries():
@@ -127,3 +130,51 @@ def test_descendant_multisets_order_and_bounds():
     assert len(sets) == len(set(sets))
     # 1 empty + 7 singles + 16 pairs + 23 triples + 27 quadruples
     assert len(sets) == 74
+
+
+def test_op_registry_holds_exactly_the_verified_operations():
+    assert OPS == {
+        "hankel.hankel_det",
+        "hankel.solve_branch_system",
+        "hankel.branch_identity_holds",
+        "hankel.max_solvable_order",
+        "spin.parity_census",
+        "spin.arf_census_bruteforce",
+        "spin.signed_double_cover_sum",
+        "invariants.degree1",
+        "invariants.degree2",
+        "invariants.degree2_base",
+        "invariants.relative_invariant_table",
+        "invariants.twisted_breakdown",
+        "invariants.degree2_tau1_decomposition",
+        "degeneration.bubble_channel_11",
+        "degeneration.solve_channel2",
+        "degeneration.gluing_consistent",
+        "degeneration.degree2_channels",
+        "degeneration.chi_constraint",
+        "torsion.build_ledger",
+        "torsion.branched_cover_identity",
+        "torsion.torsion_degrees",
+        "torsion.cone_multiplicity_table",
+        "torsion.b_from_cones",
+        "torsion.branched_cover_total",
+    }
+    # scalar kernels and the CLI dispatcher are not operations of their own
+    for name in (
+        "invariants.descendant_block",
+        "series.sqrt_coeff",
+        "core.binomial",
+        "invariants.evaluate",
+    ):
+        assert name not in OPS
+
+
+def test_recording_ops_sees_nested_calls_and_only_inside_the_block():
+    spin.parity_census(2)
+    with recording_ops() as outer:
+        spin.parity_census(1)
+        with recording_ops() as inner:
+            hankel.max_solvable_order(1)  # calls solve_branch_system itself
+        invariants.descendant_block(2)
+    assert inner == {"hankel.max_solvable_order", "hankel.solve_branch_system"}
+    assert outer == inner | {"spin.parity_census"}
