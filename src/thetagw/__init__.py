@@ -40,12 +40,9 @@ from .invariants import (
     twisted_breakdown,
 )
 from .degeneration import (
-    Channel,
     bubble_channel_11,
     chi_constraint,
-    degree2_channels,
     gluing_consistent,
-    solve_channel2,
 )
 from .torsion import (
     TorsionLedger,
@@ -61,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchCoefficients",
-    "Channel",
     "GradedHankel",
     "InternalInconsistencyError",
     "InvariantQuery",
@@ -85,7 +81,6 @@ __all__ = [
     "degree1",
     "degree2",
     "degree2_base",
-    "degree2_channels",
     "degree2_tau1_decomposition",
     "descendant_block",
     "descendant_multisets",
@@ -101,7 +96,6 @@ __all__ = [
     "required_chi",
     "signed_double_cover_sum",
     "solve_branch_system",
-    "solve_channel2",
     "sqrt_coeff",
     "torsion_degrees",
     "twisted_breakdown",

@@ -8,8 +8,8 @@ With s = (-1)^{h^0(L)} and blocks w(a) = a!/(2a+1)!:
     degree 2:  s * 2^{h+n-1} * prod_i w(a_i) * (-2)^{+a_i}
 
 The degree-2 formula specializes at h = 0 to the rational base case
-(total space of O(-1) over the projective line), which the degeneration
-engine uses to back-solve the full-contact channel.
+(total space of O(-1) over the projective line); the degeneration module
+checks the genus-h values against it scaled by the spin-side factor.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import InternalInconsistencyError, op, required_chi
+from .spin import signed_double_cover_sum
 
 
 def descendant_block(a: int) -> Fraction:
@@ -111,17 +112,14 @@ def relative_invariant_table(h: int, parity: int) -> dict[str, Fraction]:
     their scalars against point classes.
 
     spin_11         full (1,1)-contact invariant of the spin side: the
-                    signed unweighted double-cover sum (-1)^parity * 2^h
+                    signed unweighted double-cover sum, taken from the
+                    parity census of :mod:`thetagw.spin`
     bubble_1_unit   (1)-contact bubble with no insertion: 1
     bubble_1_tau1   (1)-contact bubble with one tau_1 point insertion: -1/12
     bubble_11_tau1  (1,1)-contact bubble with one tau_1 point insertion: -1/6
     """
-    if h < 0:
-        raise ValueError("genus must be >= 0")
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
     return {
-        "spin_11": Fraction((-1) ** parity * 2**h),
+        "spin_11": signed_double_cover_sum(h, parity, "unweighted"),
         "bubble_1_unit": Fraction(1),
         "bubble_1_tau1": Fraction(-1, 12),
         "bubble_11_tau1": Fraction(-1, 6),

@@ -124,24 +124,19 @@ def b_from_cones(j: int) -> int:
 def branched_cover_identity(h: int) -> bool:
     """The closing identity of the branched-cover contribution:
     (h-2) 2^{2h-3} - sum_j C(2h+2, h-2-j) (a_j - b_j)/2 == -2^{h-2}."""
-    ledger = build_ledger(h)
-    lhs = (h - 2) * 2 ** (2 * h - 3) - sum(
-        binomial(2 * h + 2, h - 2 - j) * Fraction(ledger.a[j] - ledger.b[j], 2)
-        for j in range(h - 1)
-    )
-    return lhs == -(2 ** (h - 2))
+    return branched_cover_total(h, 0) == -(2 ** (h - 2))
 
 
 @op
 def branched_cover_total(h: int, parity: int) -> Fraction:
-    """Signed branched-cover contribution assembled from the ledger, for
-    cross-checking against the component decomposition of the closed
-    formula."""
+    """Signed branched-cover contribution assembled from the ledger:
+    (-1)^parity [(h-2) 2^{2h-3} - sum_j C(2h+2, h-2-j) (a_j - b_j)/2],
+    summed in integers at twice its size and halved once."""
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     ledger = build_ledger(h)
-    inner = (h - 2) * 2 ** (2 * h - 3) - sum(
-        binomial(2 * h + 2, h - 2 - j) * Fraction(ledger.a[j] - ledger.b[j], 2)
+    twice_inner = (h - 2) * 2 ** (2 * h - 2) - sum(
+        binomial(2 * h + 2, h - 2 - j) * (ledger.a[j] - ledger.b[j])
         for j in range(h - 1)
     )
-    return (-1) ** parity * inner
+    return Fraction((-1) ** parity * twice_inner, 2)

@@ -83,11 +83,6 @@ def suite_etale(hmax: int = 12) -> Iterator[Check]:
             tag = f"h={h},parity={parity}"
             yield _eq(f"etale/unweighted_closed_form[{tag}]", unweighted, sign * 2**h)
             yield _eq(
-                f"etale/unweighted_vs_relative_table[{tag}]",
-                unweighted,
-                invariants.relative_invariant_table(h, parity)["spin_11"],
-            )
-            yield _eq(
                 f"etale/weighted_vs_degree2[{tag}]",
                 weighted,
                 invariants.degree2(InvariantQuery(2, h, parity, ())),
@@ -188,11 +183,17 @@ def suite_degeneration(hmax: int = 10, alpha_budget: int = 6, nmax: int = 4) -> 
             witness = f"h={h},parity={parity},alphas={list(alphas)}"
             break
     yield Check(
-        f"degeneration/gluing_grid[hmax={hmax},n<={nmax},sum<={alpha_budget}]",
+        f"degeneration/genus_scaling_grid[hmax={hmax},n<={nmax},sum<={alpha_budget}]",
         grid_ok,
         "all equal" if grid_ok else f"mismatch at {witness}",
         "all equal",
     )
+    for alphas in multisets:
+        yield _eq(
+            f"degeneration/bubble_factorizes[alphas={list(alphas)}]",
+            degeneration.bubble_channel_11(alphas),
+            2 ** len(alphas) * invariants.degree1(InvariantQuery(1, 0, 0, alphas)),
+        )
     for alphas in ((1, 2), (0, 1, 3), (2, 2, 1)):
         base = degeneration.bubble_channel_11(tuple(sorted(alphas)))
         ok = all(
@@ -284,7 +285,7 @@ def suite_torsion(hmax: int = 50) -> Iterator[Check]:
         yield _eq(
             f"torsion/exponent_from_boundary[i={i}]",
             hankel.max_solvable_order(i - 1),
-            2 * i - 1,
+            max(mult for _, mult in torsion.cone_multiplicity_table(i - 1, "prime")),
         )
 
 

@@ -148,9 +148,7 @@ def test_op_registry_holds_exactly_the_verified_operations():
         "invariants.twisted_breakdown",
         "invariants.degree2_tau1_decomposition",
         "degeneration.bubble_channel_11",
-        "degeneration.solve_channel2",
         "degeneration.gluing_consistent",
-        "degeneration.degree2_channels",
         "degeneration.chi_constraint",
         "torsion.build_ledger",
         "torsion.branched_cover_identity",

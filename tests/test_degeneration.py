@@ -1,16 +1,19 @@
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
-from thetagw.core import Partition, descendant_multisets, partitions_of, required_chi
-from thetagw.degeneration import (
-    bubble_channel_11,
-    chi_constraint,
-    degree2_channels,
-    gluing_consistent,
-    solve_channel2,
+from thetagw import degeneration, invariants
+from thetagw.core import (
+    Partition,
+    descendant_multisets,
+    partitions_of,
+    recording_ops,
+    required_chi,
 )
+from thetagw.degeneration import bubble_channel_11, chi_constraint, gluing_consistent
+from thetagw.verify import run_suite
 
 
 def test_bubble_channel_values():
@@ -35,46 +38,40 @@ def test_bubble_unit_insertion_doubles():
         assert bubble_channel_11(alphas + (0,)) == 2 * bubble_channel_11(alphas)
 
 
-def test_solve_channel2_values():
-    assert solve_channel2((1,)) == Fraction(-1, 8)
-    assert solve_channel2(()) == 0
-    assert solve_channel2((0,)) == 0
+def test_gluing_fails_on_a_wrong_genus_factor(monkeypatch):
+    # degree 2 scaled by 3^h instead of 2^h: genus 0 is untouched, every
+    # higher genus breaks the comparison with the scaled base case
+    monkeypatch.setattr(
+        degeneration,
+        "degree2",
+        lambda q: invariants.degree2(q) * Fraction(3, 2) ** q.h,
+    )
+    assert gluing_consistent(0, 0, (1, 2))
+    assert not gluing_consistent(3, 0, (1, 2))
+    assert not gluing_consistent(1, 1, ())
 
 
-def test_channel_structure():
-    channels = degree2_channels(3, 0, (1,))
-    by_parts = {ch.eta.parts: ch for ch in channels}
-    assert set(by_parts) == {(1, 1), (2,)}
-    assert by_parts[(1, 1)].coefficient == Fraction(1, 2)
-    assert by_parts[(2,)].coefficient == 2
-    assert by_parts[(1, 1)].y1_value == 8
-    assert by_parts[(1, 1)].y2_value == Fraction(-1, 6)
-    total = sum(ch.contribution for ch in channels)
-    assert total == Fraction(-8, 3)
+def test_gluing_does_not_compute_the_bubble():
+    with recording_ops() as ran:
+        assert gluing_consistent(3, 0, (1, 2))
+    assert "degeneration.gluing_consistent" in ran
+    assert "degeneration.bubble_channel_11" not in ran
 
 
-def test_gluing_trivial_cases():
-    # genus 0 holds by construction of the back-solved channel
-    for alphas in descendant_multisets(3, 5):
-        assert gluing_consistent(0, 0, alphas)
-    # no insertions: both sides reduce to the half cover sum
-    for h in range(8):
-        for parity in (0, 1):
-            assert gluing_consistent(h, parity, ())
+def test_bubble_factorizes_check_catches_a_skipped_assignment(monkeypatch):
+    def product_missing_last(*args, **kwargs):
+        return list(itertools.product(*args, **kwargs))[:-1]
 
-
-def test_gluing_single_tau1():
-    for h in range(11):
-        for parity in (0, 1):
-            assert gluing_consistent(h, parity, (1,))
-
-
-def test_gluing_grid():
-    multisets = list(descendant_multisets(4, 6))
-    for h in range(11):
-        for parity in (0, 1):
-            for alphas in multisets:
-                assert gluing_consistent(h, parity, alphas), (h, parity, alphas)
+    monkeypatch.setattr(
+        degeneration, "itertools", SimpleNamespace(product=product_missing_last)
+    )
+    checks = [
+        c
+        for c in run_suite("degeneration").checks
+        if c.name.startswith("degeneration/bubble_factorizes[")
+    ]
+    assert len(checks) == 74
+    assert not any(c.passed for c in checks)
 
 
 def test_chi_constraint():
