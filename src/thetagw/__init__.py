@@ -15,7 +15,6 @@ from .core import (
 from .series import TruncatedSeries, ZMonomial, sqrt_coeff
 from .hankel import (
     BranchCoefficients,
-    GradedHankel,
     branch_identity_holds,
     hankel_det,
     max_solvable_order,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchCoefficients",
-    "GradedHankel",
     "InternalInconsistencyError",
     "InvariantQuery",
     "ParityCensus",

@@ -1,12 +1,14 @@
-"""Graded Hankel systems assembled from the square-root coefficients.
+"""Graded Hankel systems assembled from the square-root coefficients, and
+the branch-point divisor identity they govern.
 
 Writing D_j for the w^{-j} coefficient of sqrt(1 - z/w), the column vector
 G_j stacks D_j .. D_{j+k-1}.  Every entry of the matrix (G_s .. G_{s+k-1})
-is a z-monomial whose exponent is fixed by its position, so determinants
-and linear solves factor through exact rational arithmetic on the numeric
-parts; z-exponents are reattached afterwards from the grading.  This is
-what turns the series linear algebra into plain rational linear algebra
-with no truncation bookkeeping inside the solver.
+is a z-monomial whose exponent is fixed by its position: entry (i, j) is
+D_{s+i+j} at z^{s+i+j}, so every permutation product of the determinant
+sits at z^{ks + k(k-1)}, and the unknown B_j of the system
+(G_1 .. G_k) B = -G_{k+1} carries z^j.  The numeric parts are plain
+rationals, and both the determinants and the solve have closed forms, which
+are what the library evaluates.
 
 The end product is :func:`branch_identity_holds`, which decides whether the
 degree-2 branch-point divisor identity is satisfiable modulo z^n by the
@@ -26,15 +28,21 @@ f/g is the [k/k] Pade approximant of s.  Hence
     (P + s Q)(P - s Q) = (1 - s^2)^{2k+1} = t^{2k+1},
     r = (P^2 - (1 - t) Q^2) / 16^k = t^{2k+1} / 16^k,
 
-whose t-adic valuation is 2k+1, with b_k = (-1/4)^k.  The determinant
-closed forms follow from D_j = -2 Cat_{j-1} / 4^j (j >= 1) and the
-classical evaluations det[Cat_{i+j}] = det[Cat_{i+j+1}] = 1 for
-0 <= i, j < k (Aigner, "Catalan-like numbers and determinants";
-Krattenthaler, "Advanced determinant calculus").  Pulling 4^{-i} out of
-row i and 4^{-j} out of column j gives det = (-2)^k / 4^{k^2} z^{k^2} for
-shift 1 and (-2)^k / 4^{k^2+k} z^{k^2+k} for shift 2.  The finite sweeps
-in the tests and the verify suite stay as regression checks; the solver
-never uses these closed forms.
+whose t-adic valuation is 2k+1, with b_k = (-1/4)^k.  Collecting the odd
+powers of s, Q = sum_i C(2k+1, 2i+1) (1 - t)^i, so
+
+    b_j = (-1)^j 4^{-k} sum_{i=j}^{k} C(2k+1, 2i+1) C(i, j),
+
+which is what :func:`solve_branch_system` returns.  The determinant closed
+forms follow from D_j = -2 Cat_{j-1} / 4^j (j >= 1) and the classical
+evaluations det[Cat_{i+j}] = det[Cat_{i+j+1}] = 1 for 0 <= i, j < k
+(Aigner, "Catalan-like numbers and determinants"; Krattenthaler,
+"Advanced determinant calculus").  Pulling 4^{-i} out of row i and 4^{-j}
+out of column j gives det = (-2)^k / 4^{k^2} z^{k^2} for shift 1 and
+(-2)^k / 4^{k^2+k} z^{k^2+k} for shift 2, which is what :func:`hankel_det`
+returns.  The library uses only these closed forms; :mod:`thetagw.verify`
+checks the determinants against exact elimination on the numeric matrices
+and the solve by substituting it back into the system.
 """
 
 from __future__ import annotations
@@ -42,65 +50,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import InternalInconsistencyError, op
+from .core import InternalInconsistencyError, binomial, op
 from .series import TruncatedSeries, ZMonomial, sqrt_coeff
-
-
-def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination, exact throughout."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = Fraction(1)
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, n):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) / prev
-            m[r][i] = Fraction(0)
-        prev = m[i][i]
-    return sign * m[-1][-1]
-
-
-@dataclass(frozen=True)
-class GradedHankel:
-    """The k x k matrix (G_shift .. G_{shift+k-1}); entry (i, j) is the
-    monomial D_{shift+i+j}, carrying z-exponent shift+i+j."""
-
-    k: int
-    shift: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("Hankel size must be >= 1")
-        if self.shift not in (1, 2):
-            raise ValueError("column shift must be 1 or 2")
-
-    def entry(self, i: int, j: int) -> ZMonomial:
-        return sqrt_coeff(self.shift + i + j)
-
-    def numeric(self) -> list[list[Fraction]]:
-        return [
-            [self.entry(i, j).coeff for j in range(self.k)] for i in range(self.k)
-        ]
-
-    def det(self) -> ZMonomial:
-        # every permutation product carries the same z-exponent
-        exp = self.k * self.shift + self.k * (self.k - 1)
-        return ZMonomial(_bareiss_det(self.numeric()), exp)
 
 
 @op
 def hankel_det(k: int, shift: int) -> ZMonomial:
-    """Exact determinant of (G_shift .. G_{shift+k-1}) as a z-monomial."""
-    return GradedHankel(k, shift).det()
+    """Exact determinant of (G_shift .. G_{shift+k-1}) as a z-monomial:
+    (-2)^k / 4^e z^e with e = k^2 (shift 1) or k^2 + k (shift 2)."""
+    if k < 1:
+        raise ValueError("Hankel size must be >= 1")
+    if shift not in (1, 2):
+        raise ValueError("column shift must be 1 or 2")
+    exp = k * k + (shift - 1) * k
+    return ZMonomial(Fraction((-2) ** k, 4**exp), exp)
 
 
 @dataclass(frozen=True)
@@ -123,28 +86,16 @@ class BranchCoefficients:
 
 @op
 def solve_branch_system(k: int) -> BranchCoefficients:
-    """Solve (G_1 .. G_k) B = -G_{k+1} by Cramer's rule on the numeric
-    parts, then re-grade."""
+    """Solve (G_1 .. G_k) B = -G_{k+1} in closed form:
+    B_j = (-1)^j 4^{-k} sum_{i>=j} C(2k+1, 2i+1) C(i, j) z^j."""
     if k < 1:
         raise ValueError("solve_branch_system requires k >= 1")
-    d = [sqrt_coeff(j).coeff for j in range(2 * k + 2)]
-    mat = [[d[1 + i + j] for j in range(k)] for i in range(k)]
-    rhs = [-d[k + 1 + i] for i in range(k)]
-    det0 = _bareiss_det(mat)
-    if det0 == 0:
-        raise InternalInconsistencyError("graded Hankel matrix is singular")
-    betas = []
-    for col in range(k):
-        replaced = [row[:] for row in mat]
-        for i in range(k):
-            replaced[i][col] = rhs[i]
-        betas.append(_bareiss_det(replaced) / det0)
-    coeffs = tuple(ZMonomial(betas[i], k - i) for i in range(k))
-    if coeffs[0].coeff != Fraction(-1, 4) ** k:
-        raise InternalInconsistencyError(
-            f"leading branch coefficient {coeffs[0]} != (-4)^-{k} z^{k}"
-        )
-    return BranchCoefficients(k, coeffs)
+    coeffs = []
+    for j in range(k, 0, -1):
+        # (-1)^j q_j is the t^j coefficient of Q = sum_i C(2k+1, 2i+1) (1 - t)^i
+        q_j = sum(binomial(2 * k + 1, 2 * i + 1) * binomial(i, j) for i in range(j, k + 1))
+        coeffs.append(ZMonomial(Fraction((-1) ** j * q_j, 4**k), j))
+    return BranchCoefficients(k, tuple(coeffs))
 
 
 def _branch_residual(k: int) -> TruncatedSeries:

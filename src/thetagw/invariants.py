@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .core import InternalInconsistencyError, op, required_chi
 from .spin import signed_double_cover_sum
+from .torsion import branched_cover_total
 
 
 def descendant_block(a: int) -> Fraction:
@@ -168,17 +169,15 @@ def twisted_breakdown(h: int) -> TwistedBreakdown:
 @op
 def degree2_tau1_decomposition(h: int, parity: int) -> dict[str, Fraction]:
     """Split the degree-2 single-tau_1 invariant over the 2^{2h} + 1
-    connected components of its moduli: the etale-cover components
-    contribute the signed cover gap times -1/12, the branched-cover
-    component contributes (-1)^parity * (-2^{h-2}), and the grand total
-    reproduces the closed formula (-1)^parity * 2^h * (-1/3)."""
-    if h < 0:
-        raise ValueError("genus must be >= 0")
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
-    sign = (-1) ** parity
-    etale_total = sign * 2**h * Fraction(-1, 12)
-    branched_total = sign * -(Fraction(2) ** (h - 2))
+    connected components of its moduli, each term from its own module: the
+    etale-cover components contribute the signed unweighted cover sum of
+    :mod:`thetagw.spin` times the degree-1 tau_1 value, and the
+    branched-cover component contributes :func:`thetagw.torsion.branched_cover_total`.
+    The grand total reproduces the closed formula (-1)^parity * 2^h * (-1/3)."""
+    etale_total = signed_double_cover_sum(h, parity, "unweighted") * degree1(
+        InvariantQuery(1, h, 0, (1,))
+    )
+    branched_total = branched_cover_total(h, parity)
     return {
         "etale_total": etale_total,
         "branched_total": branched_total,

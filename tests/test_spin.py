@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from thetagw import spin
 from thetagw.spin import (
     ParityCensus,
     arf_census_bruteforce,
     parity_census,
     signed_double_cover_sum,
 )
+from thetagw.verify import run_suite
 
 
 def test_census_small_genus():
@@ -22,6 +24,29 @@ def test_census_invariants():
         c = parity_census(h)
         assert c.even_count + c.odd_count == 2 ** (2 * h)
         assert c.gap == 2**h
+
+
+def test_census_follows_the_arf_recurrence():
+    # splitting off one hyperbolic plane: (e, o) -> (3e + o, e + 3o)
+    even, odd = 3, 1
+    for h in range(1, 41):
+        c = parity_census(h)
+        assert (c.even_count, c.odd_count) == (even, odd)
+        even, odd = 3 * even + odd, even + 3 * odd
+
+
+def test_census_splits_check_catches_a_wrong_census(monkeypatch):
+    closed = spin.parity_census
+
+    def shifted(h):
+        c = closed(h)
+        if h != 7:
+            return c
+        return ParityCensus(h, c.total, c.even_count + 2, c.odd_count - 2)
+
+    monkeypatch.setattr(spin, "parity_census", shifted)
+    failed = {c.name for c in run_suite("parity").failures}
+    assert "parity/census_splits[h1=3,h2=4]" in failed
 
 
 def test_census_rejects_negative_genus():

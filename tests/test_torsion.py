@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from thetagw import torsion
 from thetagw.hankel import max_solvable_order
-from thetagw.invariants import degree2_tau1_decomposition
 from thetagw.torsion import (
     b_from_cones,
     branched_cover_identity,
@@ -12,6 +12,7 @@ from thetagw.torsion import (
     cone_multiplicity_table,
     torsion_degrees,
 )
+from thetagw.verify import run_suite
 
 
 def test_ledger_small():
@@ -47,6 +48,9 @@ def test_a_closed_forms():
     for r in range(31):
         assert big.a[2 * r] == (r + 1) ** 2
         assert big.a[2 * r + 1] == (r + 1) * (r + 2)
+        # a_j is the unsigned sum of the level-r cone multiplicities
+        assert big.a[2 * r] == sum(m for _, m in cone_multiplicity_table(r, "prime"))
+        assert big.a[2 * r + 1] == sum(m for _, m in cone_multiplicity_table(r, "dblprime"))
 
 
 def test_b_two_routes_agree():
@@ -77,6 +81,25 @@ def test_identity_sweep():
         assert branched_cover_identity(h), h
 
 
+def test_total_below_the_ledger():
+    # the ledger is empty for h < 2 and the total is still -2^{h-2}
+    assert [branched_cover_total(h, 0) for h in (0, 1)] == [Fraction(-1, 4), Fraction(-1, 2)]
+    assert branched_cover_total(1, 1) == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        branched_cover_total(-1, 0)
+    with pytest.raises(ValueError):
+        branched_cover_total(3, 2)
+
+
+@pytest.mark.parametrize("name", ["_a", "_b"])
+@pytest.mark.parametrize("j", [0, 33, 60])
+def test_off_by_one_closed_form_fails_verify(monkeypatch, name, j):
+    closed = getattr(torsion, name)
+    monkeypatch.setattr(torsion, name, lambda i: closed(i) + (i == j))
+    failed = {c.name for c in run_suite("torsion", hmax=2).failures}
+    assert failed & {"torsion/a_closed_forms[r<=30]", "torsion/b_two_routes[j<=60]"}
+
+
 def test_torsion_degrees_values():
     d2 = torsion_degrees(2)
     assert d2 == {
@@ -91,14 +114,6 @@ def test_torsion_degrees_values():
     d4 = torsion_degrees(4)
     assert d4["over_lambda_prime"] == Fraction(49, 2)
     assert d4["over_lambda_dblprime"] == Fraction(10)
-
-
-def test_assembly_matches_decomposition():
-    for h in range(2, 31):
-        for parity in (0, 1):
-            assert branched_cover_total(h, parity) == degree2_tau1_decomposition(
-                h, parity
-            )["branched_total"]
 
 
 def test_exponents_match_solvability_boundary():
