@@ -37,10 +37,10 @@ from .invariants import (
     evaluate,
     relative_invariant_table,
     twisted_breakdown,
+    value_table,
 )
 from .degeneration import (
     bubble_channel_11,
-    chi_constraint,
     gluing_consistent,
 )
 from .torsion import (
@@ -74,7 +74,6 @@ __all__ = [
     "branched_cover_total",
     "bubble_channel_11",
     "build_ledger",
-    "chi_constraint",
     "cone_multiplicity_table",
     "degree1",
     "degree2",
@@ -97,4 +96,5 @@ __all__ = [
     "sqrt_coeff",
     "torsion_degrees",
     "twisted_breakdown",
+    "value_table",
 ]

@@ -18,14 +18,16 @@ import math
 import sys
 from fractions import Fraction
 
-from .core import descendant_multisets, rational_str
-from .invariants import InvariantQuery, evaluate
+from .core import rational_str, required_chi
+from .invariants import InvariantQuery, evaluate, value_table
 from .verify import SUITE_NAMES, Report, run_suite, suite_bounds
 
 
 # Largest genus (--genus, --hmax) and descendant exponent the CLI accepts.
 MAX_GENUS = 10**6
 MAX_EXPONENT = 10**4
+
+_PARITY = {"even": 0, "odd": 1}
 
 
 class UsageError(Exception):
@@ -72,16 +74,14 @@ def _to_float(value: Fraction) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _invariant_record(degree: int, h: int, parity: str, alphas: tuple[int, ...],
-                      with_float: bool) -> dict:
-    query = InvariantQuery(degree, h, 0 if parity == "even" else 1, alphas)
-    value = evaluate(query)
+def _record(degree: int, h: int, parity: str, alphas: tuple[int, ...],
+            value: Fraction, with_float: bool) -> dict:
     record = {
         "degree": degree,
         "h": h,
         "parity": parity,
         "alphas": list(alphas),
-        "chi": query.chi,
+        "chi": required_chi(degree, h, alphas),
         "value": rational_str(value),
     }
     if with_float:
@@ -89,7 +89,8 @@ def _invariant_record(degree: int, h: int, parity: str, alphas: tuple[int, ...],
     return record
 
 
-def _emit_records(records: list[dict], fmt: str, with_float: bool) -> None:
+def _emit_records(records, fmt: str, with_float: bool) -> None:
+    """Print each record of the iterable as it arrives."""
     if fmt == "json":
         for record in records:
             print(json.dumps(record))
@@ -105,7 +106,7 @@ def _emit_records(records: list[dict], fmt: str, with_float: bool) -> None:
                 record["degree"],
                 record["h"],
                 record["parity"],
-                ",".join(str(a) for a in record["alphas"]),
+                ",".join(map(str, record["alphas"])),
                 record["chi"],
                 record["value"],
             ]
@@ -118,7 +119,7 @@ def _emit_records(records: list[dict], fmt: str, with_float: bool) -> None:
             f"degree={record['degree']}",
             f"h={record['h']}",
             f"parity={record['parity']}",
-            "alphas=" + ",".join(str(a) for a in record["alphas"]),
+            "alphas=" + ",".join(map(str, record["alphas"])),
             f"chi={record['chi']}",
             f"value={record['value']}",
         ]
@@ -132,7 +133,8 @@ def _cmd_invariant(args) -> int:
         raise UsageError("genus must be >= 0")
     _require_genus_limit("genus", args.genus)
     alphas = _parse_alphas(args.alphas)
-    record = _invariant_record(args.degree, args.genus, args.parity, alphas, args.float)
+    value = evaluate(InvariantQuery(args.degree, args.genus, _PARITY[args.parity], alphas))
+    record = _record(args.degree, args.genus, args.parity, alphas, value, args.float)
     _emit_records([record], args.format, args.float)
     return 0
 
@@ -141,12 +143,11 @@ def _cmd_table(args) -> int:
     _require_positive("hmax", args.hmax)
     _require_genus_limit("hmax", args.hmax)
     _require_positive("alpha-budget", args.alpha_budget)
-    records = []
-    for h in range(args.hmax + 1):
-        for alphas in descendant_multisets(args.alpha_budget, args.alpha_budget):
-            records.append(
-                _invariant_record(args.degree, h, args.parity, alphas, args.float)
-            )
+    rows = value_table(args.degree, _PARITY[args.parity], args.hmax, args.alpha_budget)
+    records = (
+        _record(args.degree, h, args.parity, alphas, value, args.float)
+        for h, alphas, value in rows
+    )
     _emit_records(records, args.format, args.float)
     return 0
 

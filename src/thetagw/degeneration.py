@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .core import Partition, op
+from .core import op
 from .invariants import (
     InvariantQuery,
     degree2,
@@ -63,10 +63,3 @@ def gluing_consistent(h: int, parity: int, alphas) -> bool:
     alphas = tuple(alphas)
     lhs = degree2(InvariantQuery(2, h, parity, alphas))
     return lhs == relative_invariant_table(h, parity)["spin_11"] * degree2_base(alphas)
-
-
-@op
-def chi_constraint(chi1: int, chi2: int, eta: Partition) -> int:
-    """Euler characteristic glued from the two sides meeting along the
-    contact divisor: chi1 + chi2 - l(eta)."""
-    return chi1 + chi2 - eta.length

@@ -7,6 +7,19 @@ With s = (-1)^{h^0(L)} and blocks w(a) = a!/(2a+1)!:
     degree 1:  s * prod_i w(a_i) * (-2)^{-a_i}
     degree 2:  s * 2^{h+n-1} * prod_i w(a_i) * (-2)^{+a_i}
 
+Both are s * (-1)^{sum a} * 2^e * prod_i a_i! / prod_i (2a_i+1)! with an
+integer e (-sum a in degree 1, h+n-1+sum a in degree 2), so
+:func:`degree1`, :func:`degree2` and :func:`degree2_base` share one kernel
+that multiplies the factorials, the sign and the power of 2 in integers
+and builds a single `Fraction`.  The per-insertion `Fraction` blocks
+:func:`descendant_block` and ``_descendant_block_deg2`` are the longer
+route; the library keeps them as oracles for verify and the tests (and
+the bubble's assignment sum).
+
+Degree 1 does not depend on the genus and degree 2 depends on it only
+through 2^h, so :func:`value_table` evaluates each insertion multiset once,
+at h = 0, and scales.
+
 The degree-2 formula specializes at h = 0 to the rational base case
 (total space of O(-1) over the projective line); the degeneration module
 checks the genus-h values against it scaled by the spin-side factor.
@@ -18,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import InternalInconsistencyError, op, required_chi
+from .core import InternalInconsistencyError, descendant_multisets, op, required_chi
 from .spin import signed_double_cover_sum
 from .torsion import branched_cover_total
 
@@ -35,6 +48,28 @@ def _descendant_block_deg2(a: int) -> Fraction:
     if a < 0:
         raise ValueError("descendant exponent must be >= 0")
     return Fraction(math.factorial(a), math.factorial(2 * a + 1)) * Fraction(-2) ** a
+
+
+def _weight(a: int) -> tuple[int, int]:
+    """Numerator a! and denominator (2a+1)! of one insertion's weight."""
+    if a < 0:
+        raise ValueError("descendant exponent must be >= 0")
+    return math.factorial(a), math.factorial(2 * a + 1)
+
+
+def _kernel(sign: int, alphas, two_power: int) -> Fraction:
+    """sign * 2^two_power * prod_i (-1)^{a_i} a_i!/(2a_i+1)!, in integers
+    up to one final `Fraction`."""
+    num, den = sign, 1
+    for a in alphas:
+        a_num, a_den = _weight(a)
+        num *= -a_num if a % 2 else a_num
+        den *= a_den
+    if two_power >= 0:
+        num <<= two_power
+    else:
+        den <<= -two_power
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -75,21 +110,14 @@ class InvariantQuery:
 def degree1(q: InvariantQuery) -> Fraction:
     if q.d != 1:
         raise ValueError("degree1 requires d = 1")
-    value = Fraction(q.sign)
-    for a in q.alphas:
-        value *= descendant_block(a)
-    return value
+    return _kernel(q.sign, q.alphas, -sum(q.alphas))
 
 
 @op
 def degree2(q: InvariantQuery) -> Fraction:
     if q.d != 2:
         raise ValueError("degree2 requires d = 2")
-    n = len(q.alphas)
-    value = q.sign * Fraction(2) ** (q.h + n - 1)
-    for a in q.alphas:
-        value *= _descendant_block_deg2(a)
-    return value
+    return _kernel(q.sign, q.alphas, q.h + len(q.alphas) - 1 + sum(q.alphas))
 
 
 @op
@@ -97,14 +125,30 @@ def degree2_base(alphas) -> Fraction:
     """Degree-2 invariant of the rational base case (genus 0, even parity):
     2^{n-1} * prod_i a_i!/(2a_i+1)! * (-2)^{a_i}."""
     alphas = tuple(alphas)
-    value = Fraction(2) ** (len(alphas) - 1)
-    for a in alphas:
-        value *= _descendant_block_deg2(a)
-    return value
+    return _kernel(1, alphas, len(alphas) - 1 + sum(alphas))
 
 
 def evaluate(q: InvariantQuery) -> Fraction:
     return degree1(q) if q.d == 1 else degree2(q)
+
+
+@op
+def value_table(d: int, parity: int, hmax: int, alpha_budget: int):
+    """Yield (h, alphas, value) for 0 <= h <= hmax and every multiset of
+    :func:`thetagw.core.descendant_multisets` (alpha_budget, alpha_budget),
+    genus-major.  Each multiset is evaluated once, at h = 0: the degree-1
+    value does not depend on h and the degree-2 value is 2^h times it."""
+    if hmax < 0:
+        raise ValueError("hmax must be >= 0")
+    base = [
+        (alphas, evaluate(InvariantQuery(d, 0, parity, alphas)))
+        for alphas in descendant_multisets(alpha_budget, alpha_budget)
+    ]
+    for h in range(hmax + 1):
+        for alphas, value in base:
+            yield h, alphas, value
+        if d == 2:
+            base = [(alphas, 2 * value) for alphas, value in base]
 
 
 @op

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import degeneration, hankel, invariants, spin, torsion
-from .core import OPS, binomial, descendant_multisets, partitions_of, recording_ops, required_chi
+from .core import OPS, binomial, descendant_multisets, partitions_of, recording_ops
 from .invariants import InvariantQuery
 from .series import sqrt_coeff
 
@@ -155,10 +155,14 @@ def suite_hankel(kmax: int = 8) -> Iterator[Check]:
             )
     for k in range(1, min(kmax, 6) + 1):
         sol = hankel.solve_branch_system(k)
+        # Cramer's rule for B_k: column 0 of the sqrt_coeff system replaced
+        # by the right-hand side -D_{k+1+i}
+        system = [[sqrt_coeff(1 + i + j).coeff for j in range(k)] for i in range(k)]
+        replaced = [[-sqrt_coeff(k + 1 + i).coeff] + row[1:] for i, row in enumerate(system)]
         yield _eq(
             f"hankel/leading_coefficient[k={k}]",
             (sol.b(k).coeff, sol.b(k).exp),
-            (Fraction(-1, 4) ** k, k),
+            (_bareiss_det(replaced) / _bareiss_det(system), k),
         )
         # substitute back: row i reads sum_j D_{1+i+j} B_{k-j} = -D_{k+1+i}
         ok = True
@@ -184,6 +188,28 @@ def suite_hankel(kmax: int = 8) -> Iterator[Check]:
         )
     for i in range(1, 6):
         yield _eq(f"hankel/torsion_exponent[i={i}]", hankel.max_solvable_order(i - 1), 2 * i - 1)
+
+
+def _table_check(d: int, parity: int, hmax: int, alpha_budget: int) -> Check:
+    """Every row of the single-pass table against one evaluation per row."""
+    multisets = list(descendant_multisets(alpha_budget, alpha_budget))
+    expected = [
+        (h, alphas, invariants.evaluate(InvariantQuery(d, h, parity, alphas)))
+        for h, alphas in itertools.product(range(hmax + 1), multisets)
+    ]
+    rows = list(invariants.value_table(d, parity, hmax, alpha_budget))
+    wrong = [
+        i for i in range(max(len(rows), len(expected)))
+        if rows[i : i + 1] != expected[i : i + 1]
+    ]
+    agree = f"{len(expected)} cases equal"
+    if wrong:
+        i = wrong[0]
+        h, alphas = (expected[i] if i < len(expected) else rows[i])[:2]
+        lhs = f"{len(wrong)} of {len(expected)} cases differ, first at h={h},alphas={list(alphas)}"
+    else:
+        lhs = agree
+    return Check(f"degeneration/value_table[d={d},parity={parity}]", not wrong, lhs, agree)
 
 
 def suite_degeneration(hmax: int = 10, alpha_budget: int = 6, nmax: int = 4) -> Iterator[Check]:
@@ -251,16 +277,6 @@ def suite_degeneration(hmax: int = 10, alpha_budget: int = 6, nmax: int = 4) -> 
             degeneration.bubble_channel_11(alphas + (0,)),
             2 * degeneration.bubble_channel_11(alphas),
         )
-    for h in range(4):
-        chi = required_chi(2, h, (1,))
-        chi_spin = -2 * (h - 1)
-        for eta in partitions_of(2):
-            chi_bubble = chi - chi_spin + eta.length
-            yield _eq(
-                f"degeneration/chi_bookkeeping[h={h},eta={eta}]",
-                degeneration.chi_constraint(chi_spin, chi_bubble, eta),
-                chi,
-            )
     for h in (0, 1, 5):
         for alphas in descendant_multisets(3, 6):
             n = len(alphas)
@@ -272,6 +288,23 @@ def suite_degeneration(hmax: int = 10, alpha_budget: int = 6, nmax: int = 4) -> 
                 invariants.degree2(InvariantQuery(2, h, 0, alphas)),
                 invariants.degree1(InvariantQuery(1, h, 0, alphas)) * ratio,
             )
+    # the integer kernel against the per-insertion Fraction blocks at h = 0;
+    # the genus enters through 2^h alone, which genus_scaling_grid checks
+    kernel_ok = True
+    for parity, alphas in itertools.product((0, 1), multisets):
+        sign = (-1) ** parity
+        deg1 = math.prod(map(invariants.descendant_block, alphas), start=Fraction(sign))
+        deg2 = math.prod(
+            map(invariants._descendant_block_deg2, alphas),
+            start=sign * Fraction(2) ** (len(alphas) - 1),
+        )
+        kernel_ok &= (
+            invariants.degree1(InvariantQuery(1, 0, parity, alphas)) == deg1
+            and invariants.degree2(InvariantQuery(2, 0, parity, alphas)) == deg2
+        )
+    yield _is(f"degeneration/kernel_vs_blocks[n<={nmax},sum<={alpha_budget}]", kernel_ok)
+    for d, parity in itertools.product((1, 2), (0, 1)):
+        yield _table_check(d, parity, hmax, alpha_budget)
     for a in range(2 * alpha_budget + 1):
         weight = _beta_weight(a)
         yield _eq(

@@ -9,7 +9,7 @@ import pytest
 
 from thetagw import verify
 from thetagw.cli import MAX_EXPONENT, MAX_GENUS, main
-from thetagw.core import OPS, InternalInconsistencyError
+from thetagw.core import OPS, InternalInconsistencyError, descendant_multisets
 from thetagw.invariants import InvariantQuery, degree2
 from thetagw.verify import run_suite
 
@@ -94,6 +94,32 @@ def test_table_degree1_single_zero(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     zero_rows = [r for r in records if r["alphas"] == [0]]
     assert zero_rows and all(r["value"] == "-1" for r in zero_rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("with_float", [False, True])
+def test_table_is_the_concatenated_invariant_rows(capsys, fmt, with_float):
+    flag = ["--float"] if with_float else []
+    for degree, parity in (("1", "odd"), ("2", "even")):
+        code, table, _ = run_cli(
+            capsys, "table", "--degree", degree, "--hmax", "2", "--parity", parity,
+            "--alpha-budget", "2", "--format", fmt, *flag,
+        )
+        assert code == 0
+        header, rows = "", []
+        for h in range(3):
+            for alphas in descendant_multisets(2, 2):
+                _, out, _ = run_cli(
+                    capsys, "invariant", "--degree", degree, "--genus", str(h),
+                    "--parity", parity, "--alphas", ",".join(map(str, alphas)),
+                    "--format", fmt, *flag,
+                )
+                if fmt == "csv":
+                    header, out = out.split("\r\n", 1)
+                    header += "\r\n"
+                rows.append(out)
+        assert len(rows) == 3 * 8
+        assert table == header + "".join(rows)
 
 
 def test_usage_errors_exit_2(capsys):

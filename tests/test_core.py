@@ -147,9 +147,9 @@ def test_op_registry_holds_exactly_the_verified_operations():
         "invariants.relative_invariant_table",
         "invariants.twisted_breakdown",
         "invariants.degree2_tau1_decomposition",
+        "invariants.value_table",
         "degeneration.bubble_channel_11",
         "degeneration.gluing_consistent",
-        "degeneration.chi_constraint",
         "torsion.build_ledger",
         "torsion.branched_cover_identity",
         "torsion.torsion_degrees",

@@ -5,14 +5,8 @@ from types import SimpleNamespace
 from hypothesis import given, settings, strategies as st
 
 from thetagw import degeneration, invariants
-from thetagw.core import (
-    Partition,
-    descendant_multisets,
-    partitions_of,
-    recording_ops,
-    required_chi,
-)
-from thetagw.degeneration import bubble_channel_11, chi_constraint, gluing_consistent
+from thetagw.core import descendant_multisets, recording_ops
+from thetagw.degeneration import bubble_channel_11, gluing_consistent
 from thetagw.verify import run_suite
 
 
@@ -75,8 +69,16 @@ def test_bubble_factorizes_check_catches_a_skipped_assignment(monkeypatch):
 
 
 def test_tripled_weights_past_tau1_fail_verify(monkeypatch):
-    # the same edit to a!/(2a+1)! for a >= 2 in both kernels leaves every
-    # ratio between them intact; only the Beta-integral oracle sees it
+    # the same edit to a!/(2a+1)! for a >= 2 in the integer kernel and in
+    # both Fraction blocks leaves every ratio between them intact; only the
+    # Beta-integral oracle sees it
+    weight = invariants._weight
+
+    def tripled_weight(a):
+        num, den = weight(a)
+        return (3 * num if a >= 2 else num), den
+
+    monkeypatch.setattr(invariants, "_weight", tripled_weight)
     for module, name in (
         (invariants, "descendant_block"),
         (invariants, "_descendant_block_deg2"),
@@ -86,25 +88,27 @@ def test_tripled_weights_past_tau1_fail_verify(monkeypatch):
         monkeypatch.setattr(
             module, name, lambda a, kernel=kernel: kernel(a) * (3 if a >= 2 else 1)
         )
-    report = run_suite("all")
-    assert not report.passed
-    failed = {c.name for c in report.failures}
-    assert {f"degeneration/weight_beta_oracle[a={a}]" for a in range(2, 13)} <= failed
-    assert "degeneration/weight_beta_oracle[a=1]" not in failed
+    failed = {c.name for c in run_suite("all").failures}
+    assert failed == {f"degeneration/weight_beta_oracle[a={a}]" for a in range(2, 13)}
 
 
-def test_chi_constraint():
-    assert chi_constraint(1, 1, Partition((1, 1))) == 0
-    for chi1, chi2 in ((0, 0), (3, -2), (-4, 1)):
-        assert chi_constraint(chi1, chi2, Partition((2,))) == chi1 + chi2 - 1
+def test_value_table_check_catches_a_wrong_last_genus(monkeypatch):
+    # a table that scales its last genus by 2^{h+1} instead of 2^h
+    value_table = invariants.value_table
 
+    def doubled_last_genus(d, parity, hmax, alpha_budget):
+        for h, alphas, value in value_table(d, parity, hmax, alpha_budget):
+            yield h, alphas, 2 * value if h == hmax else value
 
-def test_chi_channel_enumeration():
-    # channels feeding the single-tau_1 invariant: the spin side keeps the
-    # etale Euler characteristic and the bubble absorbs the rest
-    for h in range(5):
-        chi = required_chi(2, h, (1,))
-        chi_spin = -2 * (h - 1)
-        for eta in partitions_of(2):
-            chi_bubble = chi - chi_spin + eta.length
-            assert chi_constraint(chi_spin, chi_bubble, eta) == chi
+    monkeypatch.setattr(invariants, "value_table", doubled_last_genus)
+    checks = {
+        c.name: c
+        for c in run_suite("degeneration", hmax=3, alpha_budget=2).checks
+        if c.name.startswith("degeneration/value_table[")
+    }
+    assert len(checks) == 4 and not any(c.passed for c in checks.values())
+    # 8 multisets of budget 2 at each of h = 0..3; h = 3 is wrong throughout
+    assert checks["degeneration/value_table[d=2,parity=1]"].lhs == (
+        "8 of 32 cases differ, first at h=3,alphas=[]"
+    )
+    assert checks["degeneration/value_table[d=1,parity=0]"].rhs == "32 cases equal"

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from thetagw import hankel, verify
 from thetagw.core import binomial
 from thetagw.hankel import (
+    BranchCoefficients,
     _branch_residual,
     branch_identity_holds,
     hankel_det,
@@ -11,7 +13,7 @@ from thetagw.hankel import (
     solve_branch_system,
 )
 from thetagw.series import TruncatedSeries, ZMonomial, sqrt_coeff
-from thetagw.verify import _bareiss_det
+from thetagw.verify import _bareiss_det, run_suite
 
 
 def test_det_size_one():
@@ -69,6 +71,35 @@ def test_solution_satisfies_matrix_equation(k):
             sqrt_coeff(1 + i + j).exp + sol.b(k - j).exp == k + 1 + i
             for j in range(k)
         )
+
+
+def test_leading_coefficient_check_catches_a_wrong_b_k(monkeypatch):
+    # a doubled B_k disagrees with Cramer's rule on the sqrt_coeff system
+    def doubled_leading(k):
+        sol = solve_branch_system(k)
+        lead = sol.coeffs[0]
+        return BranchCoefficients(k, (ZMonomial(2 * lead.coeff, lead.exp),) + sol.coeffs[1:])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hankel, "solve_branch_system", doubled_leading)
+        checks = {c.name: c for c in run_suite("hankel", kmax=3).checks}
+    for k in (1, 2, 3):
+        check = checks[f"hankel/leading_coefficient[k={k}]"]
+        assert not check.passed
+        assert check.lhs == str((2 * Fraction(-1, 4) ** k, k))
+        assert check.rhs == str((Fraction(-1, 4) ** k, k))
+    # the right side is read off the system: D_m scaled by 2^m scales the
+    # Cramer value of B_k by 2^k, while the library solve is untouched
+    def scaled(m):
+        d = sqrt_coeff(m)
+        return ZMonomial(2**m * d.coeff, d.exp)
+
+    monkeypatch.setattr(verify, "sqrt_coeff", scaled)
+    checks = {c.name: c for c in run_suite("hankel", kmax=3).checks}
+    for k in (1, 2, 3):
+        check = checks[f"hankel/leading_coefficient[k={k}]"]
+        assert not check.passed
+        assert check.rhs == str((Fraction(-1, 2) ** k, k))
 
 
 def test_solve_rejects_nonpositive():

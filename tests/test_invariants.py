@@ -1,18 +1,23 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from thetagw.core import InternalInconsistencyError
+from thetagw.core import InternalInconsistencyError, descendant_multisets
 from thetagw.invariants import (
     InvariantQuery,
     TwistedBreakdown,
+    _descendant_block_deg2,
     degree1,
     degree2,
     degree2_base,
     degree2_tau1_decomposition,
+    descendant_block,
     evaluate,
     relative_invariant_table,
     twisted_breakdown,
+    value_table,
 )
 from thetagw.spin import signed_double_cover_sum
 
@@ -70,6 +75,35 @@ def test_degree2_matches_weighted_cover_sum():
             assert degree2(InvariantQuery(2, h, parity, ())) == signed_double_cover_sum(
                 h, parity, "weighted"
             )
+
+
+def test_integer_kernel_matches_the_fraction_blocks():
+    for h, parity, alphas in itertools.product((0, 3), (0, 1), descendant_multisets(4, 8)):
+        sign = Fraction((-1) ** parity)
+        assert degree1(InvariantQuery(1, h, parity, alphas)) == math.prod(
+            map(descendant_block, alphas), start=sign
+        )
+        assert degree2(InvariantQuery(2, h, parity, alphas)) == math.prod(
+            map(_descendant_block_deg2, alphas), start=sign * Fraction(2) ** (h + len(alphas) - 1)
+        )
+    for alphas in descendant_multisets(4, 8):
+        assert degree2_base(alphas) == math.prod(
+            map(_descendant_block_deg2, alphas), start=Fraction(2) ** (len(alphas) - 1)
+        )
+    with pytest.raises(ValueError):
+        degree2_base((1, -1))
+
+
+def test_value_table_rows_in_genus_major_order():
+    for d, parity in itertools.product((1, 2), (0, 1)):
+        assert list(value_table(d, parity, 4, 3)) == [
+            (h, alphas, evaluate(InvariantQuery(d, h, parity, alphas)))
+            for h, alphas in itertools.product(range(5), descendant_multisets(3, 3))
+        ]
+    with pytest.raises(ValueError):
+        list(value_table(1, 0, -1, 2))
+    with pytest.raises(ValueError):
+        list(value_table(3, 0, 2, 2))
 
 
 def test_evaluate_dispatch():

@@ -77,15 +77,16 @@ def test_sqrt_truncation_squares_to_one_minus_z_over_w(J):
     assert root * root == TruncatedSeries((1, -1), J + 1)
 
 
-rationals = st.fractions(
-    min_value=Fraction(-4), max_value=Fraction(4), max_denominator=8
-)
-
-
 @st.composite
 def truncated_series(draw, max_order=32):
+    # coefficients are the rationals in [-4, 4] with denominator <= 8, drawn
+    # as an integer numerator over an integer denominator (st.fractions
+    # spends most of the test's time in its own machinery)
     order = draw(st.integers(1, max_order))
-    coeffs = draw(st.lists(rationals, min_size=order, max_size=order))
+    coeffs = []
+    for _ in range(order):
+        den = draw(st.integers(1, 8))
+        coeffs.append(Fraction(draw(st.integers(-4 * den, 4 * den)), den))
     return TruncatedSeries(coeffs, order)
 
 
