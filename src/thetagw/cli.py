@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -74,58 +75,76 @@ def _to_float(value: Fraction) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _record(degree: int, h: int, parity: str, alphas: tuple[int, ...],
-            value: Fraction, with_float: bool) -> dict:
-    record = {
-        "degree": degree,
-        "h": h,
-        "parity": parity,
-        "alphas": list(alphas),
-        "chi": required_chi(degree, h, alphas),
-        "value": rational_str(value),
-    }
-    if with_float:
-        record["value_float"] = _to_float(value)
-    return record
+# Rendered lines are written in chunks of about this many characters, so
+# output streams and the pending text stays small however long a value is.
+_CHUNK_CHARS = 1 << 16
 
 
-def _emit_records(records, fmt: str, with_float: bool) -> None:
-    """Print each record of the iterable as it arrives."""
+def _csv_fields(*fields) -> str:
+    """The fields as one csv record, without its line terminator."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
+
+
+def _json_float(x: float) -> str:
+    """The json encoder's text of a float (Infinity for an overflow)."""
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return repr(x)
+
+
+def _fixed_fields(fmt: str, parity: str, alphas: tuple[int, ...]) -> str:
+    """The row text between h and chi, which depends only on the multiset."""
+    joined = ",".join(map(str, alphas))
     if fmt == "json":
-        for record in records:
-            print(json.dumps(record))
-        return
+        return f', "parity": {json.dumps(parity)}, "alphas": {json.dumps(list(alphas))}, "chi": '
     if fmt == "csv":
+        return f",{_csv_fields(parity, joined)},"
+    return f" parity={parity} alphas={joined} chi="
+
+
+def _write_rows(degree: int, parity: str, rows, fmt: str, with_float: bool) -> None:
+    """Print each (h, alphas, value) of the iterable as it arrives.
+
+    The fields fixed by the multiset, and chi0 = chi at h = 0, are encoded
+    once per multiset; each row is then one f-string of h, chi0 - degree*h,
+    the exact value and the optional float."""
+    if fmt == "json":
+        lead = f'{{"degree": {degree}, "h": '
+        value_open, value_close, end = ', "value": "', '"', "}\n"
+        float_open, float_text = ', "value_float": ', _json_float
+    elif fmt == "csv":
         header = ["degree", "h", "parity", "alphas", "chi", "value"]
         if with_float:
             header.append("value_float")
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        for record in records:
-            row = [
-                record["degree"],
-                record["h"],
-                record["parity"],
-                ",".join(map(str, record["alphas"])),
-                record["chi"],
-                record["value"],
-            ]
-            if with_float:
-                row.append(record["value_float"])
-            writer.writerow(row)
-        return
-    for record in records:
-        fields = [
-            f"degree={record['degree']}",
-            f"h={record['h']}",
-            f"parity={record['parity']}",
-            "alphas=" + ",".join(map(str, record["alphas"])),
-            f"chi={record['chi']}",
-            f"value={record['value']}",
-        ]
-        if with_float:
-            fields.append(f"value_float={record['value_float']}")
-        print(" ".join(fields))
+        sys.stdout.write(_csv_fields(*header) + "\r\n")
+        lead, value_open, value_close, end = f"{degree},", ",", "", "\r\n"
+        float_open, float_text = ",", repr
+    else:
+        lead, value_open, value_close, end = f"degree={degree} h=", " value=", "", "\n"
+        float_open, float_text = " value_float=", repr
+
+    fixed: dict[tuple[int, ...], tuple[str, int]] = {}
+    lines: list[str] = []
+    size = 0
+    for h, alphas, value in rows:
+        entry = fixed.get(alphas)
+        if entry is None:
+            entry = fixed[alphas] = (
+                _fixed_fields(fmt, parity, alphas), required_chi(degree, 0, alphas)
+            )
+        mid, chi0 = entry
+        tail = f"{float_open}{float_text(_to_float(value))}" if with_float else ""
+        line = (f"{lead}{h}{mid}{chi0 - degree * h}"
+                f"{value_open}{rational_str(value)}{value_close}{tail}{end}")
+        lines.append(line)
+        size += len(line)
+        if size >= _CHUNK_CHARS:
+            sys.stdout.write("".join(lines))
+            lines.clear()
+            size = 0
+    sys.stdout.write("".join(lines))
 
 
 def _cmd_invariant(args) -> int:
@@ -134,8 +153,7 @@ def _cmd_invariant(args) -> int:
     _require_genus_limit("genus", args.genus)
     alphas = _parse_alphas(args.alphas)
     value = evaluate(InvariantQuery(args.degree, args.genus, _PARITY[args.parity], alphas))
-    record = _record(args.degree, args.genus, args.parity, alphas, value, args.float)
-    _emit_records([record], args.format, args.float)
+    _write_rows(args.degree, args.parity, [(args.genus, alphas, value)], args.format, args.float)
     return 0
 
 
@@ -144,11 +162,7 @@ def _cmd_table(args) -> int:
     _require_genus_limit("hmax", args.hmax)
     _require_positive("alpha-budget", args.alpha_budget)
     rows = value_table(args.degree, _PARITY[args.parity], args.hmax, args.alpha_budget)
-    records = (
-        _record(args.degree, h, args.parity, alphas, value, args.float)
-        for h, alphas, value in rows
-    )
-    _emit_records(records, args.format, args.float)
+    _write_rows(args.degree, args.parity, rows, args.format, args.float)
     return 0
 
 

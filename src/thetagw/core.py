@@ -64,7 +64,8 @@ class InternalInconsistencyError(RuntimeError):
 
 def rational_str(q: Fraction | int) -> str:
     """Canonical form "num/den" in lowest terms, "num" when den == 1."""
-    return str(Fraction(q))
+    num, den = q.numerator, q.denominator
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
 def parse_rational(s: str) -> Fraction:

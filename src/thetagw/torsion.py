@@ -23,8 +23,36 @@ verify suite compares them with the cone sums.  The whole component equals
 
 Note the dominant-part torsion sums carry the factor 1/2 from the trivial
 Z/2 action; the combined (a_j - b_j)/2 form is the one that closes, and it
-is the form implemented and verified here (hand-checked at h = 2, 3 and
-machine-checked far beyond; no all-h proof is recorded yet).
+is the form implemented and verified here.
+
+Proof for all h >= 2.  Write c_j = a_j - b_j, n = h - 2 and
+S(h) = sum_{j<=n} C(2n+6, n-j) c_j; the identity says
+S(h) = n 4^{n+1} + 2^{n+1}.
+
+(i) With a_{-1} = a_{-2} = b_{-1} = b_{-2} = 0 (which the closed forms
+    give at j = -1, -2), the second differences of the closed forms are,
+    residue by residue:
+        a_{2r} - 2a_{2r-1} + a_{2r-2} = (r+1)^2 - 2r(r+1) + r^2 = 1,
+        a_{2r+1} - 2a_{2r} + a_{2r-1} = (r+1)(r+2 - 2(r+1) + r) = 0,
+        b_{2r} - 2b_{2r-1} + b_{2r-2} = 4(floor((r-1)/2) + 1) - (2r+1)
+                                      = -1 (r even), +1 (r odd),
+        b_{2r+1} - 2b_{2r} + b_{2r-1} = 2(r - floor(r/2) - floor((r-1)/2) - 1) = 0.
+    So c_j - 2c_{j-1} + c_{j-2} = 2 [4 | j], that is
+    C(w) = sum_j c_j w^j = 2/((1-w)^2 (1-w^4)).
+(ii) S(h) = [x^n] F(x) phi(x)^n with F = (1+x)^6 C(x) and phi = (1+x)^2.
+    Lagrange inversion in its second form (Stanley, Enumerative
+    Combinatorics 2, Section 5.4) gives sum_n S t^n = F(w)/(1 - t phi'(w))
+    where w = t phi(w), i.e. t = w/(1+w)^2 and 1 - t phi'(w) = (1-w)/(1+w).
+    With 1 - w^4 = (1-w)(1+w)(1+w^2) the left side is
+    2 (1+w)^6 / ((1-w)^4 (1+w^2)).
+(iii) On the right, 1 - 4t = (1-w)^2/(1+w)^2 and 1 - 2t = (1+w^2)/(1+w)^2,
+    so sum_n (n 4^{n+1} + 2^{n+1}) t^n = 16t/(1-4t)^2 + 2/(1-2t)
+    = 2 (1+w)^2 (8w(1+w^2) + (1-w)^4) / ((1-w)^4 (1+w^2)).
+    The two sides agree because (1+w)^4 - (1-w)^4 = 8w(1+w^2).
+
+Halving, (h-2) 2^{2h-3} - S(h)/2 = -2^{h-2}.  The verify suite keeps the
+sweep of :func:`branched_cover_identity` as a regression check, and the
+tests check steps (i) and (iii) on the closed forms.
 """
 
 from __future__ import annotations

@@ -317,6 +317,17 @@ def suite_degeneration(hmax: int = 10, alpha_budget: int = 6, nmax: int = 4) -> 
         )
 
 
+def _cone_ledger_sum(h: int) -> int:
+    """sum_j C(2h+2, h-2-j) (a_j - b_j) for j = 0..h-2, with a_j and b_j the
+    unsigned and signed sums of the level-j//2 cone multiplicities."""
+    total = 0
+    for j in range(h - 1):
+        table = torsion.cone_multiplicity_table(j // 2, torsion.FAMILIES[j % 2])
+        a = sum(mult for _, mult in table)
+        total += binomial(2 * h + 2, h - 2 - j) * (a - torsion.b_from_cones(j))
+    return total
+
+
 def suite_torsion(hmax: int = 50) -> Iterator[Check]:
     yield _eq("torsion/ledger[h=2]", (torsion.build_ledger(2).a, torsion.build_ledger(2).b), ((1,), (-1,)))
     yield _eq("torsion/ledger[h=3]", (torsion.build_ledger(3).a, torsion.build_ledger(3).b), ((1, 2), (-1, -2)))
@@ -352,11 +363,12 @@ def suite_torsion(hmax: int = 50) -> Iterator[Check]:
     yield _eq("torsion/degrees[h=4,prime]", torsion.torsion_degrees(4)["over_lambda_prime"], Fraction(49, 2))
 
     for h in range(2, min(hmax, 30) + 1):
-        breakdown = invariants.twisted_breakdown(h)
+        # the twisted breakdown's branched part against the torsion module:
+        # its branched total with the ledger sum, from the cone tables, added back
         yield _eq(
             f"torsion/twisted_balance[h={h}]",
-            breakdown.total - breakdown.etale_count * breakdown.per_etale,
-            Fraction((h - 2) * 2 ** (2 * h - 3)),
+            invariants.twisted_breakdown(h).branched_part,
+            torsion.branched_cover_total(h, 0) + Fraction(_cone_ledger_sum(h), 2),
         )
         for parity in (0, 1):
             decomposition = invariants.degree2_tau1_decomposition(h, parity)

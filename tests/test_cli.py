@@ -3,14 +3,15 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
 from thetagw import verify
 from thetagw.cli import MAX_EXPONENT, MAX_GENUS, main
-from thetagw.core import OPS, InternalInconsistencyError, descendant_multisets
-from thetagw.invariants import InvariantQuery, degree2
+from thetagw.core import OPS, InternalInconsistencyError, descendant_multisets, required_chi
+from thetagw.invariants import InvariantQuery, degree2, evaluate, value_table
 from thetagw.verify import run_suite
 
 
@@ -120,6 +121,84 @@ def test_table_is_the_concatenated_invariant_rows(capsys, fmt, with_float):
                 rows.append(out)
         assert len(rows) == 3 * 8
         assert table == header + "".join(rows)
+
+
+@contextmanager
+def no_int_str_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def oracle_output(degree, parity, rows, fmt, with_float):
+    """The record route: each row as a dict, printed through json.dumps,
+    csv.writer.writerow or the text join."""
+    out = io.StringIO()
+    header = ["degree", "h", "parity", "alphas", "chi", "value"]
+    if with_float:
+        header.append("value_float")
+    writer = csv.writer(out)
+    if fmt == "csv":
+        writer.writerow(header)
+    for h, alphas, value in rows:
+        with no_int_str_digit_limit():
+            text = str(Fraction(value))
+        record = {"degree": degree, "h": h, "parity": parity, "alphas": list(alphas),
+                  "chi": required_chi(degree, h, alphas), "value": text}
+        if with_float:
+            try:
+                record["value_float"] = float(value)
+            except OverflowError:
+                record["value_float"] = math.inf if value > 0 else -math.inf
+        joined = ",".join(map(str, alphas))
+        if fmt == "json":
+            out.write(json.dumps(record) + "\n")
+        elif fmt == "csv":
+            writer.writerow([joined if k == "alphas" else record[k] for k in header])
+        else:
+            out.write(" ".join(
+                f"{k}={joined if k == 'alphas' else record[k]}" for k in header
+            ) + "\n")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("with_float", [False, True])
+def test_table_matches_the_record_oracle(capsys, fmt, with_float):
+    flag = ["--float"] if with_float else []
+    # budget 2 holds the empty, single and multi-insertion multisets; at
+    # hmax 1030 the degree-2 float column overflows to both infinities
+    for degree, hmax, budget in ((1, 3, 2), (2, 3, 2), (2, 1030, 1)):
+        for parity in ("even", "odd"):
+            code, out, err = run_cli(
+                capsys, "table", "--degree", str(degree), "--hmax", str(hmax),
+                "--parity", parity, "--alpha-budget", str(budget), "--format", fmt, *flag,
+            )
+            assert (code, err) == (0, "")
+            rows = value_table(degree, int(parity == "odd"), hmax, budget)
+            assert out == oracle_output(degree, parity, rows, fmt, with_float)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_invariant_matches_the_record_oracle(capsys, fmt):
+    for h, parity, alphas, flag in (
+        (1100, "even", (), ["--float"]),
+        (1100, "odd", (0, 1), ["--float"]),
+        (20000, "odd", (1, 2, 3), []),
+        (3, "even", (1,), ["--float"]),
+    ):
+        code, out, err = run_cli(
+            capsys, "invariant", "--degree", "2", "--genus", str(h), "--parity", parity,
+            "--alphas", ",".join(map(str, alphas)), "--format", fmt, *flag,
+        )
+        assert (code, err) == (0, "")
+        value = evaluate(InvariantQuery(2, h, int(parity == "odd"), alphas))
+        assert out == oracle_output(2, parity, [(h, alphas, value)], fmt, bool(flag))
 
 
 def test_usage_errors_exit_2(capsys):

@@ -122,6 +122,16 @@ def test_rational_round_trip(num, den):
         assert "/" not in text
 
 
+@pytest.mark.parametrize(
+    "q, text",
+    [(0, "0"), (7, "7"), (-7, "-7"), (Fraction(8, 4), "2"), (Fraction(-6, 3), "-2"),
+     (Fraction(-3, 6), "-1/2"), (Fraction(5, -15), "-1/3"), (10**40, str(10**40))],
+)
+def test_rational_str_ints_signs_and_unit_denominators(q, text):
+    assert rational_str(q) == text
+    assert parse_rational(text) == q
+
+
 def test_descendant_multisets_order_and_bounds():
     sets = list(descendant_multisets(4, 6))
     assert sets[0] == ()

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from thetagw import torsion
+from thetagw import invariants, torsion
 from thetagw.hankel import max_solvable_order
+from thetagw.invariants import TwistedBreakdown
 from thetagw.torsion import (
     b_from_cones,
     branched_cover_identity,
@@ -121,3 +122,46 @@ def test_exponents_match_solvability_boundary():
     # 1, 3, 5, ...; flag level k supports the branch identity to order 2k+1
     for i in range(1, 6):
         assert max_solvable_order(i - 1) == 2 * i - 1
+
+
+def test_second_difference_of_the_ledger():
+    # step (i) of the all-h proof: c_j - 2c_{j-1} + c_{j-2} = 2 [4 | j]
+    def c(j):
+        return torsion._a(j) - torsion._b(j) if j >= 0 else 0
+
+    for j in range(61):
+        assert c(j) - 2 * c(j - 1) + c(j - 2) == 2 * (j % 4 == 0), j
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for k, y in enumerate(q):
+            out[i + k] += x * y
+    return out
+
+
+def _poly_pow(p, n):
+    out = [1]
+    for _ in range(n):
+        out = _poly_mul(out, p)
+    return out
+
+
+def test_w_identity_of_the_proof():
+    # step (iii) of the all-h proof: (1+w)^4 - (1-w)^4 = 8w(1+w^2)
+    lhs = [x - y for x, y in zip(_poly_pow([1, 1], 4), _poly_pow([1, -1], 4))]
+    assert lhs == _poly_mul([0, 8], [1, 0, 1]) + [0]  # the w^4 terms cancel
+
+
+def test_balanced_twisted_breakdown_mutant_fails_verify(monkeypatch):
+    original = invariants.twisted_breakdown
+
+    def mutant(h):
+        b = original(h)
+        # still balances: total and branched part move together
+        return TwistedBreakdown(b.h, b.total + 1, b.per_etale, b.etale_count, b.branched_part + 1)
+
+    monkeypatch.setattr(invariants, "twisted_breakdown", mutant)
+    failed = {c.name for c in run_suite("torsion", hmax=5).failures}
+    assert failed == {f"torsion/twisted_balance[h={h}]" for h in range(2, 6)}
