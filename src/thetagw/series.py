@@ -4,8 +4,10 @@ coefficients of the branch-point analysis.
 A :class:`TruncatedSeries` stores dense coefficients for z^0 .. z^(N-1) and
 is exact modulo z^N.  Binary operations truncate to the smaller operand
 order, so a result never claims more precision than its inputs support.
-The branch-point analysis uses it for polynomials in t = z/w, sized so
-that nothing is truncated away.
+Nothing on the library path uses it: it stays for acceptance criterion 10
+(the ring-axiom property suite) and for the verify oracle that builds the
+branch-point residual as a polynomial in t = z/w, sized so that nothing is
+truncated away.
 
 The square root sqrt(1 - z/w) enters only through the coefficient
 extractor :func:`sqrt_coeff`, which returns the w^{-j} coefficient as the
@@ -56,21 +58,6 @@ class TruncatedSeries:
             cs = cs[:order]
         self.coeffs = tuple(cs)
         self.order = order
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls((), order)
-
-    @classmethod
-    def monomial(cls, coeff, exp: int, order: int) -> "TruncatedSeries":
-        if exp < 0:
-            raise ValueError("z-exponent must be >= 0")
-        cs = [Fraction(0)] * order
-        if exp < order:
-            cs[exp] = Fraction(coeff)
-        return cls(cs, order)
 
     # -- ring operations ----------------------------------------------
 

@@ -50,9 +50,10 @@ S(h) = n 4^{n+1} + 2^{n+1}.
     = 2 (1+w)^2 (8w(1+w^2) + (1-w)^4) / ((1-w)^4 (1+w^2)).
     The two sides agree because (1+w)^4 - (1-w)^4 = 8w(1+w^2).
 
-Halving, (h-2) 2^{2h-3} - S(h)/2 = -2^{h-2}.  The verify suite keeps the
-sweep of :func:`branched_cover_identity` as a regression check, and the
-tests check steps (i) and (iii) on the closed forms.
+Halving, (h-2) 2^{2h-3} - S(h)/2 = -2^{h-2}, the closed total that
+:func:`branched_cover_total` returns.  :func:`branched_cover_identity` keeps
+the ledger sum, which verify sweeps as a regression check, and the tests
+check steps (i) and (iii) on the closed forms.
 """
 
 from __future__ import annotations
@@ -147,26 +148,27 @@ def b_from_cones(j: int) -> int:
 
 @op
 def branched_cover_identity(h: int) -> bool:
-    """The closing identity of the branched-cover contribution:
-    (h-2) 2^{2h-3} - sum_j C(2h+2, h-2-j) (a_j - b_j)/2 == -2^{h-2}."""
-    return branched_cover_total(h, 0) == -(2 ** (h - 2))
-
-
-@op
-def branched_cover_total(h: int, parity: int) -> Fraction:
-    """Signed branched-cover contribution:
-    (-1)^parity [(h-2) 2^{2h-3} - sum_j C(2h+2, h-2-j) (a_j - b_j)/2],
-    with the a/b closed forms and the binomial stepped down the row, summed
-    in integers at twice its size and halved once.  The ledger is empty for
-    h < 2, where the total is still -2^{h-2}."""
+    """The closing identity with the ledger sum on the left, in integers:
+    4 sum_j C(2h+2, h-2-j) (a_j - b_j) == (h-2) 4^h + 2^{h+1}.  The ledger
+    is empty for h < 2, where both sides are 0."""
     if h < 0:
         raise ValueError("genus must be >= 0")
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
     n, m = 2 * h + 2, h - 2
     row, ledger_sum = binomial(n, m), 0
     for j in range(h - 1):
         ledger_sum += row * (_a(j) - _b(j))
         row = row * (m - j) // (n - m + j + 1)  # C(n, m-j) -> C(n, m-j-1)
-    twice_inner = (h - 2) * Fraction(2) ** (2 * h - 2) - ledger_sum
-    return (-1) ** parity * twice_inner / 2
+    return 4 * ledger_sum == (h - 2) * 4**h + 2 ** (h + 1)
+
+
+@op
+def branched_cover_total(h: int, parity: int) -> Fraction:
+    """Signed branched-cover contribution
+    (-1)^parity [(h-2) 2^{2h-3} - sum_j C(2h+2, h-2-j) (a_j - b_j)/2],
+    which the proof above closes to (-1)^{parity+1} 2^{h-2} for every h >= 0
+    (for h < 2 the ledger is empty and the bracket is already -2^{h-2})."""
+    if h < 0:
+        raise ValueError("genus must be >= 0")
+    if parity not in (0, 1):
+        raise ValueError("parity must be 0 or 1")
+    return Fraction((-1) ** (parity + 1) * 2**h, 4)

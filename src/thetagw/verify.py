@@ -19,7 +19,7 @@ from typing import Iterator
 from . import degeneration, hankel, invariants, spin, torsion
 from .core import OPS, binomial, descendant_multisets, partitions_of, recording_ops
 from .invariants import InvariantQuery
-from .series import sqrt_coeff
+from .series import TruncatedSeries, sqrt_coeff
 
 SUITE_NAMES = ("degeneration", "hankel", "torsion", "parity", "etale", "all")
 
@@ -141,6 +141,27 @@ def suite_etale(hmax: int = 12) -> Iterator[Check]:
             )
 
 
+def _branch_residual(k: int) -> TruncatedSeries:
+    """The residual r(t) = f^2 - (1 - t) g^2 of the flag-level-k candidate;
+    the oracle for the solvability boundary the library returns.
+
+    g = 1 + b_1 t + ... + b_k t^k comes from the graded solve (g = 1 at
+    k = 0) and f is the degree <= k part of sqrt(1 - t) g.  r has degree
+    <= 2k+1, so order 2k+2 holds it exactly.
+    """
+    if k < 0:
+        raise ValueError("flag level must be >= 0")
+    g_coeffs = [Fraction(1)]
+    if k >= 1:
+        sol = hankel.solve_branch_system(k)
+        g_coeffs += [sol.b(j).coeff for j in range(1, k + 1)]
+    order = 2 * k + 2
+    g = TruncatedSeries(g_coeffs, order)
+    root = TruncatedSeries([sqrt_coeff(j).coeff for j in range(k + 1)], order)
+    f = TruncatedSeries((root * g).coeffs[: k + 1], order)
+    return f * f - TruncatedSeries((1, -1), order) * g * g
+
+
 def suite_hankel(kmax: int = 8) -> Iterator[Check]:
     for k in range(1, kmax + 1):
         for shift in (1, 2):
@@ -173,21 +194,28 @@ def suite_hankel(kmax: int = 8) -> Iterator[Check]:
             if acc != -sqrt_coeff(k + 1 + i).coeff:
                 ok = False
         yield _is(f"hankel/substitution[k={k}]", ok)
-    for k in range(1, min(kmax, 5) + 1):
-        yield _is(f"hankel/solvable_at_boundary[k={k}]", hankel.branch_identity_holds(k, 2 * k + 1))
-        yield _is(
-            f"hankel/insolvable_past_boundary[k={k}]",
-            hankel.branch_identity_holds(k, 2 * k + 2),
-            expect=False,
+    # the oracle residual once per flag level, and its valuation v_k
+    residuals = {k: _branch_residual(k) for k in range(max(kmax, 4) + 1)}
+    valuation = {k: r.z_order() for k, r in residuals.items()}
+    for k in range(kmax + 1):
+        yield _eq(
+            f"hankel/residual[k={k}]",
+            residuals[k],
+            TruncatedSeries([0] * (2 * k + 1) + [Fraction(1, 16**k)], 2 * k + 2),
         )
+    for k in range(1, min(kmax, 5) + 1):
+        for n, name in ((2 * k + 1, "solvable_at_boundary"),
+                        (2 * k + 2, "insolvable_past_boundary")):
+            yield _eq(f"hankel/{name}[k={k}]", hankel.branch_identity_holds(k, n), n <= valuation[k])
     for k in range(4):
-        results = [hankel.branch_identity_holds(k, n) for n in range(1, 2 * k + 4)]
-        yield _is(
-            f"hankel/monotone_in_n[k={k}]",
-            results == sorted(results, reverse=True),
+        orders = range(1, 2 * k + 4)
+        yield _eq(
+            f"hankel/decisions_vs_residual[k={k}]",
+            [hankel.branch_identity_holds(k, n) for n in orders],
+            [n <= valuation[k] for n in orders],
         )
     for i in range(1, 6):
-        yield _eq(f"hankel/torsion_exponent[i={i}]", hankel.max_solvable_order(i - 1), 2 * i - 1)
+        yield _eq(f"hankel/torsion_exponent[i={i}]", hankel.max_solvable_order(i - 1), valuation[i - 1])
 
 
 def _table_check(d: int, parity: int, hmax: int, alpha_budget: int) -> Check:

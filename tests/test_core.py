@@ -14,7 +14,7 @@ from thetagw.core import (
     recording_ops,
     required_chi,
 )
-from thetagw import hankel, invariants, spin
+from thetagw import invariants, spin, torsion
 
 
 def test_binomial_boundaries():
@@ -182,7 +182,7 @@ def test_recording_ops_sees_nested_calls_and_only_inside_the_block():
     with recording_ops() as outer:
         spin.parity_census(1)
         with recording_ops() as inner:
-            hankel.max_solvable_order(1)  # calls solve_branch_system itself
+            torsion.torsion_degrees(2)  # calls build_ledger itself
         invariants.descendant_block(2)
-    assert inner == {"hankel.max_solvable_order", "hankel.solve_branch_system"}
+    assert inner == {"torsion.torsion_degrees", "torsion.build_ledger"}
     assert outer == inner | {"spin.parity_census"}

@@ -3,17 +3,16 @@ from fractions import Fraction
 import pytest
 
 from thetagw import hankel, verify
-from thetagw.core import binomial
+from thetagw.core import binomial, recording_ops
 from thetagw.hankel import (
     BranchCoefficients,
-    _branch_residual,
     branch_identity_holds,
     hankel_det,
     max_solvable_order,
     solve_branch_system,
 )
 from thetagw.series import TruncatedSeries, ZMonomial, sqrt_coeff
-from thetagw.verify import _bareiss_det, run_suite
+from thetagw.verify import _bareiss_det, _branch_residual, run_suite
 
 
 def test_det_size_one():
@@ -134,11 +133,37 @@ def test_branch_identity_validates_input():
         branch_identity_holds(-1, 1)
     with pytest.raises(ValueError):
         branch_identity_holds(1, 0)
+    with pytest.raises(ValueError):
+        max_solvable_order(-1)
+
+
+def test_boundary_is_returned_without_the_residual():
+    with recording_ops() as ran:
+        assert max_solvable_order(9) == 19
+    assert ran == {"hankel.max_solvable_order"}
+
+
+def test_shifted_max_solvable_order_fails_verify(monkeypatch):
+    closed = hankel.max_solvable_order
+    monkeypatch.setattr(hankel, "max_solvable_order", lambda k: closed(k) + 1)
+    failed = {c.name for c in run_suite("hankel", kmax=3).failures}
+    assert failed == {f"hankel/torsion_exponent[i={i}]" for i in range(1, 6)}
+
+
+def test_boundary_past_2k_plus_1_fails_verify(monkeypatch):
+    def late_boundary(k, n):
+        return n <= 2 * k + 2
+
+    monkeypatch.setattr(hankel, "branch_identity_holds", late_boundary)
+    failed = {c.name for c in run_suite("hankel", kmax=3).failures}
+    assert failed == {
+        f"hankel/insolvable_past_boundary[k={k}]" for k in range(1, 4)
+    } | {f"hankel/decisions_vs_residual[k={k}]" for k in range(4)}
 
 
 def test_residual_of_solved_k1_system_by_direct_expansion():
     # k = 1: g = 1 + b_1 t and f = 1 + (b_1 + D_1) t; expand f^2 - (1-t) g^2
-    # by hand and compare with the library's residual t^3/16
+    # by hand and compare with the verify oracle's residual t^3/16
     b1 = solve_branch_system(1).b(1).coeff
     d1 = sqrt_coeff(1).coeff
     assert (b1, d1) == (Fraction(-1, 4), Fraction(-1, 2))

@@ -19,7 +19,7 @@ def test_mul_basic():
 
 def test_mul_order_additivity():
     for k in (1, 2, 5):
-        zk = TruncatedSeries.monomial(1, k, 2 * k + 1)
+        zk = series_of(*[0] * k, 1, order=2 * k + 1)
         prod = zk * zk
         assert prod.z_order() == 2 * k
         assert prod.coeffs[2 * k] == 1
@@ -29,8 +29,8 @@ def test_obstruction_term_leading_coefficient():
     # z * B_k^2 with B_k = (-4)^{-k} z^k has leading term 4^{-2k} z^{2k+1}
     for k in range(1, 5):
         order = 2 * k + 2
-        bk = TruncatedSeries.monomial(Fraction(-1, 4) ** k, k, order)
-        z = TruncatedSeries.monomial(1, 1, order)
+        bk = series_of(*[0] * k, Fraction(-1, 4) ** k, order=order)
+        z = series_of(0, 1, order=order)
         prod = z * bk * bk
         assert prod.z_order() == 2 * k + 1
         assert prod.coeffs[2 * k + 1] == Fraction(1, 4 ** (2 * k))
@@ -45,7 +45,7 @@ def test_truncation_is_min_of_operand_orders():
 
 
 def test_z_order_sentinel():
-    assert TruncatedSeries.zero(4).z_order() is None
+    assert series_of(order=4).z_order() is None
     assert series_of(0, 0, 5, order=4).z_order() == 2
 
 
@@ -112,4 +112,4 @@ def test_z_order_additive_under_product(a, b):
 def test_repr_is_readable():
     s = series_of(1, Fraction(-1, 2), 0, order=4)
     assert repr(s) == "1 + -1/2*z + O(z^4)"
-    assert repr(TruncatedSeries.zero(2)) == "0 + O(z^2)"
+    assert repr(series_of(order=2)) == "0 + O(z^2)"

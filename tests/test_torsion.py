@@ -86,10 +86,37 @@ def test_total_below_the_ledger():
     # the ledger is empty for h < 2 and the total is still -2^{h-2}
     assert [branched_cover_total(h, 0) for h in (0, 1)] == [Fraction(-1, 4), Fraction(-1, 2)]
     assert branched_cover_total(1, 1) == Fraction(1, 2)
+    assert branched_cover_identity(0) and branched_cover_identity(1)
     with pytest.raises(ValueError):
         branched_cover_total(-1, 0)
     with pytest.raises(ValueError):
         branched_cover_total(3, 2)
+    with pytest.raises(ValueError):
+        branched_cover_identity(-1)
+
+
+def test_total_sums_no_ledger(monkeypatch):
+    def unused(*args):
+        raise AssertionError("the closed total needs no ledger")
+
+    for name in ("_a", "_b", "binomial"):
+        monkeypatch.setattr(torsion, name, unused)
+    assert branched_cover_total(300, 1) == 2**298
+
+
+def test_shifted_total_fails_verify(monkeypatch):
+    closed = torsion.branched_cover_total
+
+    def shifted(h, parity):
+        return closed(h, parity) + 1
+
+    # invariants binds the name too, for the tau_1 decomposition
+    monkeypatch.setattr(torsion, "branched_cover_total", shifted)
+    monkeypatch.setattr(invariants, "branched_cover_total", shifted)
+    failed = {c.name for c in run_suite("torsion", hmax=3).failures}
+    assert failed == {f"torsion/twisted_balance[h={h}]" for h in (2, 3)} | {
+        f"torsion/grand_total[h={h},parity={p}]" for h in (2, 3) for p in (0, 1)
+    }
 
 
 @pytest.mark.parametrize("name", ["_a", "_b"])
