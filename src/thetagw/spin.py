@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .core import op
 
-VARIANTS = ("unweighted", "weighted", "connected_weighted")
+VARIANTS = ("unweighted", "weighted")
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,8 @@ def signed_double_cover_sum(h: int, parity: int, variant: str) -> Fraction:
     with the overall sign (-1)^{h^0(L)}.
 
     variants:
-      unweighted          every cover counts with weight 1
-      weighted            weight 1/|Aut(u)| = 1/2
-      connected_weighted  weighted, with the disconnected trivial cover
-                          (xi trivial, always even, weight 1/2) removed
+      unweighted  every cover counts with weight 1
+      weighted    weight 1/|Aut(u)| = 1/2
     """
     if h < 0:
         raise ValueError("genus must be >= 0")
@@ -108,7 +106,4 @@ def signed_double_cover_sum(h: int, parity: int, variant: str) -> Fraction:
     signed_gap = (-1) ** parity * parity_census(h).gap
     if variant == "unweighted":
         return Fraction(signed_gap)
-    weighted = Fraction(signed_gap, 2)
-    if variant == "weighted":
-        return weighted
-    return weighted - Fraction(1, 2)
+    return Fraction(signed_gap, 2)

@@ -1,8 +1,11 @@
 """Verification suites: every identity the library asserts, run as exact
 checks with a uniform pass/fail report.
 
-Suites are generator functions over their sweep bounds that yield
-:class:`Check`s; the CLI renders them and turns failures into exit codes.
+Suites are generator functions that yield :class:`Check`s, and a suite's
+parameters, with their defaults, are the sweep bounds it takes; the CLI
+renders the checks and turns failures into exit codes.  A check over many
+cases passes when every case agrees and then reads "<n> cases equal"; on
+failure its lhs reads "<k> of <n> cases differ, first at <case>".
 Coverage is measured, not declared: :func:`run_suite` records which
 operations registered with :func:`thetagw.core.op` ran while the suites
 did, and the combined run fails unless every registered operation ran.
@@ -10,18 +13,20 @@ did, and the combined run fails unless every registered operation ran.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import degeneration, hankel, invariants, spin, torsion
 from .core import OPS, binomial, descendant_multisets, partitions_of, recording_ops
 from .invariants import InvariantQuery
 from .series import TruncatedSeries, sqrt_coeff
 
-SUITE_NAMES = ("degeneration", "hankel", "torsion", "parity", "etale", "all")
+# insertions per multiset in the degeneration grids
+_NMAX = 4
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,23 @@ def _eq(name: str, lhs, rhs) -> Check:
     return Check(name, lhs == rhs, str(lhs), str(rhs))
 
 
-def _is(name: str, value: bool, expect: bool = True) -> Check:
-    return Check(name, value == expect, str(value), str(expect))
+def _cases(name: str, label: Callable[..., str], cases: Iterable[tuple]) -> Check:
+    """One check over many cases, each a (key, lhs, rhs) triple; it passes
+    when every lhs equals its rhs.  Only the first failing key is labelled,
+    as ``label(*key)``."""
+    count = wrong = 0
+    first = ()
+    for key, lhs, rhs in cases:
+        count += 1
+        if lhs != rhs:
+            wrong += 1
+            if wrong == 1:
+                first = key
+    agree = f"{count} cases equal"
+    if wrong:
+        lhs = f"{wrong} of {count} cases differ, first at {label(*first)}"
+        return Check(name, False, lhs, agree)
+    return Check(name, True, agree, agree)
 
 
 def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
@@ -94,7 +114,6 @@ def suite_parity(hmax: int = 12) -> Iterator[Check]:
     yield _eq("parity/census[h=1]", (c1.total, c1.even_count, c1.odd_count), (4, 3, 1))
     for h in range(hmax + 1):
         c = spin.parity_census(h)
-        yield _eq(f"parity/census_sum[h={h}]", c.even_count + c.odd_count, 2 ** (2 * h))
         yield _eq(f"parity/census_gap[h={h}]", c.gap, 2**h)
     # Arf additivity over an orthogonal splitting of the base curve
     for h1 in range(1, hmax // 2 + 1):
@@ -123,21 +142,16 @@ def suite_etale(hmax: int = 12) -> Iterator[Check]:
     for h in range(hmax + 1):
         for parity in (0, 1):
             sign = (-1) ** parity
-            unweighted = spin.signed_double_cover_sum(h, parity, "unweighted")
-            weighted = spin.signed_double_cover_sum(h, parity, "weighted")
-            connected = spin.signed_double_cover_sum(h, parity, "connected_weighted")
             tag = f"h={h},parity={parity}"
-            yield _eq(f"etale/unweighted_closed_form[{tag}]", unweighted, sign * 2**h)
+            yield _eq(
+                f"etale/unweighted_closed_form[{tag}]",
+                spin.signed_double_cover_sum(h, parity, "unweighted"),
+                sign * 2**h,
+            )
             yield _eq(
                 f"etale/weighted_vs_degree2[{tag}]",
-                weighted,
+                spin.signed_double_cover_sum(h, parity, "weighted"),
                 invariants.degree2(InvariantQuery(2, h, parity, ())),
-            )
-            yield _eq(f"etale/double_weight[{tag}]", unweighted, 2 * weighted)
-            yield _eq(
-                f"etale/connected_offset[{tag}]",
-                connected,
-                weighted - Fraction(1, 2),
             )
 
 
@@ -186,14 +200,11 @@ def suite_hankel(kmax: int = 8) -> Iterator[Check]:
             (_bareiss_det(replaced) / _bareiss_det(system), k),
         )
         # substitute back: row i reads sum_j D_{1+i+j} B_{k-j} = -D_{k+1+i}
-        ok = True
-        for i in range(k):
-            acc = Fraction(0)
-            for j in range(k):
-                acc += sqrt_coeff(1 + i + j).coeff * sol.b(k - j).coeff
-            if acc != -sqrt_coeff(k + 1 + i).coeff:
-                ok = False
-        yield _is(f"hankel/substitution[k={k}]", ok)
+        yield _cases(f"hankel/substitution[k={k}]", lambda i: f"row={i}", (
+            ((i,), sum(sqrt_coeff(1 + i + j).coeff * sol.b(k - j).coeff for j in range(k)),
+             -sqrt_coeff(k + 1 + i).coeff)
+            for i in range(k)
+        ))
     # the oracle residual once per flag level, and its valuation v_k
     residuals = {k: _branch_residual(k) for k in range(max(kmax, 4) + 1)}
     valuation = {k: r.z_order() for k, r in residuals.items()}
@@ -208,12 +219,10 @@ def suite_hankel(kmax: int = 8) -> Iterator[Check]:
                         (2 * k + 2, "insolvable_past_boundary")):
             yield _eq(f"hankel/{name}[k={k}]", hankel.branch_identity_holds(k, n), n <= valuation[k])
     for k in range(4):
-        orders = range(1, 2 * k + 4)
-        yield _eq(
-            f"hankel/decisions_vs_residual[k={k}]",
-            [hankel.branch_identity_holds(k, n) for n in orders],
-            [n <= valuation[k] for n in orders],
-        )
+        yield _cases(f"hankel/decisions_vs_residual[k={k}]", lambda n: f"n={n}", (
+            ((n,), hankel.branch_identity_holds(k, n), n <= valuation[k])
+            for n in range(1, 2 * k + 4)
+        ))
     for i in range(1, 6):
         yield _eq(f"hankel/torsion_exponent[i={i}]", hankel.max_solvable_order(i - 1), valuation[i - 1])
 
@@ -221,26 +230,36 @@ def suite_hankel(kmax: int = 8) -> Iterator[Check]:
 def _table_check(d: int, parity: int, hmax: int, alpha_budget: int) -> Check:
     """Every row of the single-pass table against one evaluation per row."""
     multisets = list(descendant_multisets(alpha_budget, alpha_budget))
-    expected = [
+    expected = (
         (h, alphas, invariants.evaluate(InvariantQuery(d, h, parity, alphas)))
         for h, alphas in itertools.product(range(hmax + 1), multisets)
-    ]
-    rows = list(invariants.value_table(d, parity, hmax, alpha_budget))
-    wrong = [
-        i for i in range(max(len(rows), len(expected)))
-        if rows[i : i + 1] != expected[i : i + 1]
-    ]
-    agree = f"{len(expected)} cases equal"
-    if wrong:
-        i = wrong[0]
-        h, alphas = (expected[i] if i < len(expected) else rows[i])[:2]
-        lhs = f"{len(wrong)} of {len(expected)} cases differ, first at h={h},alphas={list(alphas)}"
-    else:
-        lhs = agree
-    return Check(f"degeneration/value_table[d={d},parity={parity}]", not wrong, lhs, agree)
+    )
+    rows = invariants.value_table(d, parity, hmax, alpha_budget)
+    # a missing or an extra row pairs with None, and is labelled by its other side
+    return _cases(
+        f"degeneration/value_table[d={d},parity={parity}]",
+        lambda h, alphas, _: f"h={h},alphas={list(alphas)}",
+        ((row or want, row, want) for row, want in itertools.zip_longest(rows, expected)),
+    )
 
 
-def suite_degeneration(hmax: int = 10, alpha_budget: int = 6, nmax: int = 4) -> Iterator[Check]:
+def _kernel_case(parity: int, alphas: tuple[int, ...]) -> tuple:
+    """The integer kernel's degree 1 and 2 at h = 0 against the products of
+    the per-insertion Fraction blocks, as one (key, lhs, rhs) case."""
+    sign = (-1) ** parity
+    deg1 = math.prod(map(invariants.descendant_block, alphas), start=Fraction(sign))
+    deg2 = math.prod(
+        map(invariants._descendant_block_deg2, alphas),
+        start=sign * Fraction(2) ** (len(alphas) - 1),
+    )
+    kernel = (
+        invariants.degree1(InvariantQuery(1, 0, parity, alphas)),
+        invariants.degree2(InvariantQuery(2, 0, parity, alphas)),
+    )
+    return (parity, alphas), kernel, (deg1, deg2)
+
+
+def suite_degeneration(hmax: int = 10, alpha_budget: int = 6) -> Iterator[Check]:
     table = invariants.relative_invariant_table(3, 0)
     yield _eq(
         "degeneration/bubble_tau1_pair_vs_table",
@@ -265,26 +284,12 @@ def suite_degeneration(hmax: int = 10, alpha_budget: int = 6, nmax: int = 4) -> 
         {(1, 1): Fraction(1, 2), (2,): Fraction(2)},
     )
 
-    multisets = list(descendant_multisets(nmax, alpha_budget))
-    for alphas in multisets:
-        if sum(alphas) <= 8:
-            yield _eq(
-                f"degeneration/base_is_genus0[alphas={list(alphas)}]",
-                invariants.degree2(InvariantQuery(2, 0, 0, alphas)),
-                invariants.degree2_base(alphas),
-            )
-    grid_ok = True
-    witness = ""
-    for h, parity, alphas in itertools.product(range(hmax + 1), (0, 1), multisets):
-        if not degeneration.gluing_consistent(h, parity, alphas):
-            grid_ok = False
-            witness = f"h={h},parity={parity},alphas={list(alphas)}"
-            break
-    yield Check(
-        f"degeneration/genus_scaling_grid[hmax={hmax},n<={nmax},sum<={alpha_budget}]",
-        grid_ok,
-        "all equal" if grid_ok else f"mismatch at {witness}",
-        "all equal",
+    multisets = list(descendant_multisets(_NMAX, alpha_budget))
+    yield _cases(
+        f"degeneration/genus_scaling_grid[hmax={hmax},n<={_NMAX},sum<={alpha_budget}]",
+        lambda h, parity, alphas: f"h={h},parity={parity},alphas={list(alphas)}",
+        ((key, degeneration.gluing_consistent(*key), True)
+         for key in itertools.product(range(hmax + 1), (0, 1), multisets)),
     )
     for alphas in multisets:
         yield _eq(
@@ -294,11 +299,11 @@ def suite_degeneration(hmax: int = 10, alpha_budget: int = 6, nmax: int = 4) -> 
         )
     for alphas in ((1, 2), (0, 1, 3), (2, 2, 1)):
         base = degeneration.bubble_channel_11(tuple(sorted(alphas)))
-        ok = all(
-            degeneration.bubble_channel_11(p) == base
-            for p in itertools.permutations(alphas)
+        yield _cases(
+            f"degeneration/bubble_symmetric[alphas={list(alphas)}]",
+            lambda p: f"order={list(p)}",
+            (((p,), degeneration.bubble_channel_11(p), base) for p in itertools.permutations(alphas)),
         )
-        yield _is(f"degeneration/bubble_symmetric[alphas={list(alphas)}]", ok)
     for alphas in descendant_multisets(3, 4):
         yield _eq(
             f"degeneration/bubble_unit_insertion[alphas={list(alphas)}]",
@@ -318,19 +323,11 @@ def suite_degeneration(hmax: int = 10, alpha_budget: int = 6, nmax: int = 4) -> 
             )
     # the integer kernel against the per-insertion Fraction blocks at h = 0;
     # the genus enters through 2^h alone, which genus_scaling_grid checks
-    kernel_ok = True
-    for parity, alphas in itertools.product((0, 1), multisets):
-        sign = (-1) ** parity
-        deg1 = math.prod(map(invariants.descendant_block, alphas), start=Fraction(sign))
-        deg2 = math.prod(
-            map(invariants._descendant_block_deg2, alphas),
-            start=sign * Fraction(2) ** (len(alphas) - 1),
-        )
-        kernel_ok &= (
-            invariants.degree1(InvariantQuery(1, 0, parity, alphas)) == deg1
-            and invariants.degree2(InvariantQuery(2, 0, parity, alphas)) == deg2
-        )
-    yield _is(f"degeneration/kernel_vs_blocks[n<={nmax},sum<={alpha_budget}]", kernel_ok)
+    yield _cases(
+        f"degeneration/kernel_vs_blocks[n<={_NMAX},sum<={alpha_budget}]",
+        lambda parity, alphas: f"parity={parity},alphas={list(alphas)}",
+        itertools.starmap(_kernel_case, itertools.product((0, 1), multisets)),
+    )
     for d, parity in itertools.product((1, 2), (0, 1)):
         yield _table_check(d, parity, hmax, alpha_budget)
     for a in range(2 * alpha_budget + 1):
@@ -365,13 +362,13 @@ def suite_torsion(hmax: int = 50) -> Iterator[Check]:
     # the closed-form ledger against the cone tables, for j <= 60 (r <= 30):
     # a_j is the unsigned sum of the level-r multiplicities, b_j the signed one
     big = torsion.build_ledger(62)
-    closed_ok = all(
-        big.a[j] == sum(m for _, m in torsion.cone_multiplicity_table(j // 2, torsion.FAMILIES[j % 2]))
+    yield _cases("torsion/a_closed_forms[r<=30]", lambda j: f"j={j}", (
+        ((j,), big.a[j], sum(m for _, m in torsion.cone_multiplicity_table(j // 2, torsion.FAMILIES[j % 2])))
         for j in range(61)
-    )
-    yield _is("torsion/a_closed_forms[r<=30]", closed_ok)
-    two_routes_ok = all(torsion.b_from_cones(j) == big.b[j] for j in range(61))
-    yield _is("torsion/b_two_routes[j<=60]", two_routes_ok)
+    ))
+    yield _cases("torsion/b_two_routes[j<=60]", lambda j: f"j={j}", (
+        ((j,), torsion.b_from_cones(j), big.b[j]) for j in range(61)
+    ))
 
     yield _eq("torsion/cone_table[r=0,prime]", torsion.cone_multiplicity_table(0, "prime"), [(1, 1)])
     yield _eq(
@@ -382,7 +379,7 @@ def suite_torsion(hmax: int = 50) -> Iterator[Check]:
     yield _eq("torsion/cone_table[r=0,dblprime]", torsion.cone_multiplicity_table(0, "dblprime"), [(1, 2)])
 
     for h in range(2, hmax + 1):
-        yield _is(f"torsion/identity[h={h}]", torsion.branched_cover_identity(h))
+        yield _eq(f"torsion/identity[h={h}]", torsion.branched_cover_identity(h), True)
 
     degrees2 = torsion.torsion_degrees(2)
     yield _eq("torsion/degrees[h=2]", (degrees2["over_lambda_prime"], degrees2["over_lambda_dblprime"]), (Fraction(1, 2), Fraction(0)))
@@ -413,20 +410,22 @@ def suite_torsion(hmax: int = 50) -> Iterator[Check]:
         )
 
 
+# every suite, in the order "all" runs them
 _SUITE_FUNCS = {
-    "parity": (suite_parity, ("hmax",)),
-    "etale": (suite_etale, ("hmax",)),
-    "hankel": (suite_hankel, ("kmax",)),
-    "degeneration": (suite_degeneration, ("hmax", "alpha_budget")),
-    "torsion": (suite_torsion, ("hmax",)),
+    "degeneration": suite_degeneration,
+    "hankel": suite_hankel,
+    "torsion": suite_torsion,
+    "parity": suite_parity,
+    "etale": suite_etale,
 }
+SUITE_NAMES = (*_SUITE_FUNCS, "all")
 
 
 def suite_bounds(suite: str) -> frozenset[str]:
-    """Names of the sweep bounds ``suite`` takes; for "all", every bound
-    some suite takes."""
+    """Names of the sweep bounds ``suite`` takes, read from its parameters;
+    for "all", every bound some suite takes."""
     funcs = _SUITE_FUNCS.values() if suite == "all" else [_SUITE_FUNCS[suite]]
-    return frozenset(key for _, accepted in funcs for key in accepted)
+    return frozenset(key for func in funcs for key in inspect.signature(func).parameters)
 
 
 def run_suite(
@@ -449,10 +448,9 @@ def run_suite(
     checks: list[Check] = []
     with recording_ops() as exercised:
         for name in names:
-            func, accepted = _SUITE_FUNCS[name]
-            bounds = {key: given[key] for key in accepted if given[key] is not None}
+            bounds = {key: given[key] for key in suite_bounds(name) if given[key] is not None}
             try:
-                for check in func(**bounds):
+                for check in _SUITE_FUNCS[name](**bounds):
                     checks.append(check)
             except Exception as exc:
                 checks.append(

@@ -243,7 +243,8 @@ def test_verify_all_json_and_coverage(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True
-    names = {c["name"] for c in payload["checks"]}
+    names = [c["name"] for c in payload["checks"]]
+    assert len(set(names)) == len(names)
     assert "coverage/all-operations-exercised" in names
     covered = {f"{m}.{op}" for m, ops in payload["coverage"].items() for op in ops}
     assert covered == OPS
@@ -266,6 +267,16 @@ def test_verify_bad_bounds(capsys):
 
 
 def test_verify_rejects_bounds_no_selected_suite_takes(capsys):
+    # the bounds a suite takes are its parameters, and "all" runs the suites in this order
+    assert verify.SUITE_NAMES == ("degeneration", "hankel", "torsion", "parity", "etale", "all")
+    assert {s: verify.suite_bounds(s) for s in verify.SUITE_NAMES} == {
+        "degeneration": {"hmax", "alpha_budget"},
+        "hankel": {"kmax"},
+        "torsion": {"hmax"},
+        "parity": {"hmax"},
+        "etale": {"hmax"},
+        "all": {"hmax", "kmax", "alpha_budget"},
+    }
     for argv in (
         ("--suite", "degeneration", "--kmax", "3"),
         ("--suite", "hankel", "--hmax", "3"),
@@ -311,7 +322,7 @@ def test_report_failure_shape():
 
 
 def test_coverage_fails_when_a_suite_stops_calling_an_op(monkeypatch):
-    monkeypatch.setitem(verify._SUITE_FUNCS, "parity", (lambda hmax=12: [], ("hmax",)))
+    monkeypatch.setitem(verify._SUITE_FUNCS, "parity", lambda hmax=12: [])
     report = run_suite("all", hmax=3, kmax=2, alpha_budget=2)
     [coverage] = [c for c in report.checks if c.name == "coverage/all-operations-exercised"]
     assert not coverage.passed

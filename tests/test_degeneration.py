@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetagw import degeneration, invariants
@@ -92,23 +93,37 @@ def test_tripled_weights_past_tau1_fail_verify(monkeypatch):
     assert failed == {f"degeneration/weight_beta_oracle[a={a}]" for a in range(2, 13)}
 
 
-def test_value_table_check_catches_a_wrong_last_genus(monkeypatch):
-    # a table that scales its last genus by 2^{h+1} instead of 2^h
+@pytest.mark.parametrize(
+    "edit, lhs, rhs",
+    [
+        # the last genus scaled by 2^{h+1} instead of 2^h: h = 3 is wrong throughout
+        (
+            lambda rows: [(h, alphas, 2 * v if h == 3 else v) for h, alphas, v in rows],
+            "8 of 32 cases differ, first at h=3,alphas=[]",
+            "32 cases equal",
+        ),
+        # the table stops one row early, inside the last genus
+        (lambda rows: rows[:-1], "1 of 32 cases differ, first at h=3,alphas=[1, 1]", "32 cases equal"),
+        # the table runs one row long, into h = 4
+        (
+            lambda rows: rows + [(4, (), rows[0][2])],
+            "1 of 33 cases differ, first at h=4,alphas=[]",
+            "33 cases equal",
+        ),
+    ],
+    ids=["doubled", "missing_row", "extra_row"],
+)
+def test_value_table_check_catches_a_wrong_last_genus(monkeypatch, edit, lhs, rhs):
     value_table = invariants.value_table
-
-    def doubled_last_genus(d, parity, hmax, alpha_budget):
-        for h, alphas, value in value_table(d, parity, hmax, alpha_budget):
-            yield h, alphas, 2 * value if h == hmax else value
-
-    monkeypatch.setattr(invariants, "value_table", doubled_last_genus)
+    monkeypatch.setattr(
+        invariants, "value_table", lambda *bounds: edit(list(value_table(*bounds)))
+    )
     checks = {
         c.name: c
         for c in run_suite("degeneration", hmax=3, alpha_budget=2).checks
         if c.name.startswith("degeneration/value_table[")
     }
     assert len(checks) == 4 and not any(c.passed for c in checks.values())
-    # 8 multisets of budget 2 at each of h = 0..3; h = 3 is wrong throughout
-    assert checks["degeneration/value_table[d=2,parity=1]"].lhs == (
-        "8 of 32 cases differ, first at h=3,alphas=[]"
-    )
-    assert checks["degeneration/value_table[d=1,parity=0]"].rhs == "32 cases equal"
+    # 8 multisets of budget 2 at each of h = 0..3
+    assert checks["degeneration/value_table[d=2,parity=1]"].lhs == lhs
+    assert {c.rhs for c in checks.values()} == {rhs}

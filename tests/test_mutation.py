@@ -1,0 +1,50 @@
+"""Mutants of the ops whose restating checks were deleted from verify: a
+perturbed return value, patched into every module that binds the op, must
+still turn some check of each suite that runs the op into a FAIL."""
+
+import sys
+from fractions import Fraction
+
+import pytest
+
+from thetagw import verify
+from thetagw.spin import ParityCensus
+
+BOUNDS = {"hmax": 3, "kmax": 2, "alpha_budget": 2}
+
+
+def _shifted_census(c: ParityCensus) -> ParityCensus:
+    return ParityCensus(c.h, c.total, c.even_count + 1, c.odd_count - 1)
+
+
+MUTANTS = {
+    "invariants.degree2": lambda value: value + 1,
+    "invariants.degree2_base": lambda value: value + 1,
+    "spin.parity_census": _shifted_census,
+    "spin.signed_double_cover_sum": lambda value: value + Fraction(1, 2),
+}
+
+
+@pytest.mark.parametrize("op, perturb", MUTANTS.items(), ids=MUTANTS)
+def test_perturbed_op_fails_every_suite_that_runs_it(monkeypatch, op, perturb):
+    module_name, _, func_name = op.partition(".")
+    original = getattr(sys.modules[f"thetagw.{module_name}"], func_name)
+
+    def mutant(*args, **kwargs):
+        return perturb(original(*args, **kwargs))
+
+    bound = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.partition(".")[0] == "thetagw" and vars(module).get(func_name) is original
+    ]
+    for module in bound:
+        monkeypatch.setattr(module, func_name, mutant)
+    ran = []
+    for suite in (s for s in verify.SUITE_NAMES if s != "all"):
+        bounds = {key: BOUNDS[key] for key in verify.suite_bounds(suite)}
+        report = verify.run_suite(suite, **bounds)
+        if func_name in report.coverage.get(module_name, ()):
+            ran.append(suite)
+            assert report.failures, f"{suite} passes with {op} perturbed"
+    assert ran

@@ -124,8 +124,9 @@ def test_shifted_total_fails_verify(monkeypatch):
 def test_off_by_one_closed_form_fails_verify(monkeypatch, name, j):
     closed = getattr(torsion, name)
     monkeypatch.setattr(torsion, name, lambda i: closed(i) + (i == j))
-    failed = {c.name for c in run_suite("torsion", hmax=2).failures}
-    assert failed & {"torsion/a_closed_forms[r<=30]", "torsion/b_two_routes[j<=60]"}
+    check = {"_a": "torsion/a_closed_forms[r<=30]", "_b": "torsion/b_two_routes[j<=60]"}[name]
+    failed = {c.name: c.lhs for c in run_suite("torsion", hmax=2).failures}
+    assert failed[check] == f"1 of 61 cases differ, first at j={j}"
 
 
 def test_torsion_degrees_values():
