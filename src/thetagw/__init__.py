@@ -2,7 +2,6 @@
 Gromov-Witten invariants of theta-characteristic total spaces."""
 
 from .core import (
-    InternalInconsistencyError,
     Partition,
     Rational,
     binomial,
@@ -35,7 +34,6 @@ from .invariants import (
     degree2_tau1_decomposition,
     descendant_block,
     evaluate,
-    relative_invariant_table,
     twisted_breakdown,
     value_table,
 )
@@ -57,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchCoefficients",
-    "InternalInconsistencyError",
     "InvariantQuery",
     "ParityCensus",
     "Partition",
@@ -89,7 +86,6 @@ __all__ = [
     "parse_rational",
     "partitions_of",
     "rational_str",
-    "relative_invariant_table",
     "required_chi",
     "signed_double_cover_sum",
     "solve_branch_system",

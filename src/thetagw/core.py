@@ -58,10 +58,6 @@ def recording_ops():
             outer |= seen
 
 
-class InternalInconsistencyError(RuntimeError):
-    """An identity that must hold by construction failed to hold."""
-
-
 def rational_str(q: Fraction | int) -> str:
     """Canonical form "num/den" in lowest terms, "num" when den == 1."""
     num, den = q.numerator, q.denominator

@@ -27,13 +27,8 @@ import itertools
 from fractions import Fraction
 
 from .core import op
-from .invariants import (
-    InvariantQuery,
-    degree2,
-    degree2_base,
-    descendant_block,
-    relative_invariant_table,
-)
+from .invariants import InvariantQuery, degree2, degree2_base, descendant_block
+from .spin import signed_double_cover_sum
 
 
 @op
@@ -62,4 +57,4 @@ def gluing_consistent(h: int, parity: int, alphas) -> bool:
     that reduction, so neither is computed here."""
     alphas = tuple(alphas)
     lhs = degree2(InvariantQuery(2, h, parity, alphas))
-    return lhs == relative_invariant_table(h, parity)["spin_11"] * degree2_base(alphas)
+    return lhs == signed_double_cover_sum(h, parity, "unweighted") * degree2_base(alphas)

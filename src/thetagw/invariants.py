@@ -31,8 +31,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import InternalInconsistencyError, descendant_multisets, op, required_chi
-from .spin import signed_double_cover_sum
+from .core import descendant_multisets, op, required_chi
+from .spin import parity_census, signed_double_cover_sum
 from .torsion import branched_cover_total
 
 
@@ -151,62 +151,35 @@ def value_table(d: int, parity: int, hmax: int, alpha_budget: int):
             base = [(alphas, 2 * value) for alphas, value in base]
 
 
-@op
-def relative_invariant_table(h: int, parity: int) -> dict[str, Fraction]:
-    """Relative invariants entering the degree-2 gluing formula, reduced to
-    their scalars against point classes.
-
-    spin_11         full (1,1)-contact invariant of the spin side: the
-                    signed unweighted double-cover sum, taken from the
-                    parity census of :mod:`thetagw.spin`
-    bubble_1_unit   (1)-contact bubble with no insertion: 1
-    bubble_1_tau1   (1)-contact bubble with one tau_1 point insertion: -1/12
-    bubble_11_tau1  (1,1)-contact bubble with one tau_1 point insertion: -1/6
-    """
-    return {
-        "spin_11": signed_double_cover_sum(h, parity, "unweighted"),
-        "bubble_1_unit": Fraction(1),
-        "bubble_1_tau1": Fraction(-1, 12),
-        "bubble_11_tau1": Fraction(-1, 6),
-    }
-
-
 @dataclass(frozen=True)
 class TwistedBreakdown:
     """Decomposition of the degree-2 tau_1 twisted invariant of the base
-    curve into its etale-cover components and the branched-cover remainder.
-
-    total - etale_count * per_etale = branched_part holds exactly and is
-    asserted at construction.
-    """
+    curve into its etale-cover components and the branched-cover remainder;
+    the total is etale_count * per_etale + branched_part by construction."""
 
     h: int
-    total: Fraction
     per_etale: Fraction
     etale_count: int
     branched_part: Fraction
 
-    def __post_init__(self):
-        if self.total - self.etale_count * self.per_etale != self.branched_part:
-            raise InternalInconsistencyError(
-                "twisted breakdown does not balance: "
-                f"{self.total} - {self.etale_count}*({self.per_etale}) != {self.branched_part}"
-            )
+    @property
+    def total(self) -> Fraction:
+        return self.etale_count * self.per_etale + self.branched_part
 
 
 @op
 def twisted_breakdown(h: int) -> TwistedBreakdown:
-    """Twisted-invariant arithmetic at genus h >= 2:
-    (h - 8/3) 2^{2h-3} minus 2^{2h} copies of -1/12 leaves (h-2) 2^{2h-3}."""
+    """Twisted-invariant arithmetic at genus h >= 2: one etale component
+    per theta characteristic (the census total of :mod:`thetagw.spin`),
+    each carrying the degree-1 tau_1 value, and the branched part
+    (h-2) 2^{2h-3}.  Verify compares the total with (h - 8/3) 2^{2h-3}."""
     if h < 2:
         raise ValueError("twisted breakdown needs h >= 2")
-    scale = 2 ** (2 * h - 3)
     return TwistedBreakdown(
         h=h,
-        total=(h - Fraction(8, 3)) * scale,
-        per_etale=Fraction(-1, 12),
-        etale_count=2 ** (2 * h),
-        branched_part=Fraction((h - 2) * scale),
+        per_etale=degree1(InvariantQuery(1, h, 0, (1,))),
+        etale_count=parity_census(h).total,
+        branched_part=Fraction((h - 2) * 2 ** (2 * h - 3)),
     )
 
 

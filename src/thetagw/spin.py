@@ -34,16 +34,16 @@ VARIANTS = ("unweighted", "weighted")
 
 @dataclass(frozen=True)
 class ParityCensus:
-    """Counts of even and odd quadratic refinements / theta parities."""
+    """Counts of even and odd quadratic refinements / theta parities; the
+    odd count is total - even by construction."""
 
     h: int
     total: int
     even_count: int
-    odd_count: int
 
-    def __post_init__(self):
-        if self.even_count + self.odd_count != self.total:
-            raise ValueError("census counts must sum to the total")
+    @property
+    def odd_count(self) -> int:
+        return self.total - self.even_count
 
     @property
     def gap(self) -> int:
@@ -59,7 +59,7 @@ def parity_census(h: int) -> ParityCensus:
         raise ValueError("genus must be >= 0")
     total = 2 ** (2 * h)
     even = 1 if h == 0 else 2 ** (h - 1) * (2**h + 1)
-    return ParityCensus(h=h, total=total, even_count=even, odd_count=total - even)
+    return ParityCensus(h=h, total=total, even_count=even)
 
 
 @op
@@ -80,7 +80,7 @@ def arf_census_bruteforce(h: int) -> ParityCensus:
             arf ^= (mask >> (2 * i)) & (mask >> (2 * i + 1)) & 1
         even += 1 - arf
     total = 1 << (2 * h)
-    return ParityCensus(h=h, total=total, even_count=even, odd_count=total - even)
+    return ParityCensus(h=h, total=total, even_count=even)
 
 
 @op

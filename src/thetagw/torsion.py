@@ -111,17 +111,14 @@ def torsion_degrees(h: int) -> dict[str, Fraction]:
     sum_r 1/2 * a_{2r} * C(2h+2, h-2-2r) over the prime locus and the
     odd-index analogue over the dblprime locus."""
     ledger = build_ledger(h)
-    over_prime = sum(
-        (Fraction(ledger.a[2 * r], 2) * ledger.lambda_prime[r]
-         for r in range(len(ledger.lambda_prime))),
-        Fraction(0),
-    )
+    over_prime = sum(a * lam for a, lam in zip(ledger.a[::2], ledger.lambda_prime, strict=True))
     over_dblprime = sum(
-        (Fraction(ledger.a[2 * r + 1], 2) * ledger.lambda_dblprime[r]
-         for r in range(len(ledger.lambda_dblprime))),
-        Fraction(0),
+        a * lam for a, lam in zip(ledger.a[1::2], ledger.lambda_dblprime, strict=True)
     )
-    return {"over_lambda_prime": over_prime, "over_lambda_dblprime": over_dblprime}
+    return {
+        "over_lambda_prime": Fraction(over_prime, 2),
+        "over_lambda_dblprime": Fraction(over_dblprime, 2),
+    }
 
 
 @op

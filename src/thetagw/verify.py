@@ -260,16 +260,15 @@ def _kernel_case(parity: int, alphas: tuple[int, ...]) -> tuple:
 
 
 def suite_degeneration(hmax: int = 10, alpha_budget: int = 6) -> Iterator[Check]:
-    table = invariants.relative_invariant_table(3, 0)
     yield _eq(
         "degeneration/bubble_tau1_pair_vs_table",
         degeneration.bubble_channel_11((1,)),
-        table["bubble_11_tau1"],
+        Fraction(-1, 6),
     )
     yield _eq(
         "degeneration/degree1_tau1_vs_table",
         invariants.degree1(InvariantQuery(1, 3, 0, (1,))),
-        table["bubble_1_tau1"],
+        Fraction(-1, 12),
     )
     yield _eq("degeneration/bubble_unit", degeneration.bubble_channel_11(()), Fraction(1))
     yield _eq("degeneration/base_tau1", invariants.degree2_base((1,)), Fraction(-1, 3))
@@ -342,15 +341,17 @@ def suite_degeneration(hmax: int = 10, alpha_budget: int = 6) -> Iterator[Check]
         )
 
 
-def _cone_ledger_sum(h: int) -> int:
-    """sum_j C(2h+2, h-2-j) (a_j - b_j) for j = 0..h-2, with a_j and b_j the
-    unsigned and signed sums of the level-j//2 cone multiplicities."""
-    total = 0
+def _cone_sums(h: int) -> list[int]:
+    """sum_j C(2h+2, h-2-j) x_j for j = 0..h-2, with x_j = a_j over even j,
+    a_j over odd j and b_j over all j, where a_j and b_j are the unsigned and
+    signed sums of the level-j//2 cone multiplicities."""
+    sums = [0, 0, 0]
     for j in range(h - 1):
         table = torsion.cone_multiplicity_table(j // 2, torsion.FAMILIES[j % 2])
-        a = sum(mult for _, mult in table)
-        total += binomial(2 * h + 2, h - 2 - j) * (a - torsion.b_from_cones(j))
-    return total
+        row = binomial(2 * h + 2, h - 2 - j)
+        sums[j % 2] += row * sum(mult for _, mult in table)
+        sums[2] += row * torsion.b_from_cones(j)
+    return sums
 
 
 def suite_torsion(hmax: int = 50) -> Iterator[Check]:
@@ -387,21 +388,50 @@ def suite_torsion(hmax: int = 50) -> Iterator[Check]:
     yield _eq("torsion/degrees[h=3]", (degrees3["over_lambda_prime"], degrees3["over_lambda_dblprime"]), (Fraction(4), Fraction(1)))
     yield _eq("torsion/degrees[h=4,prime]", torsion.torsion_degrees(4)["over_lambda_prime"], Fraction(49, 2))
 
-    for h in range(2, min(hmax, 30) + 1):
+    top = min(hmax, 30)
+    cones = [_cone_sums(h) for h in range(top + 1)]
+    ledger = [a_even + a_odd - b for a_even, a_odd, b in cones]
+    splits = {
+        (h, p): invariants.degree2_tau1_decomposition(h, p) for h in range(top + 1) for p in (0, 1)
+    }
+    for h in range(2, top + 1):
         # the twisted breakdown's branched part against the torsion module:
         # its branched total with the ledger sum, from the cone tables, added back
         yield _eq(
             f"torsion/twisted_balance[h={h}]",
             invariants.twisted_breakdown(h).branched_part,
-            torsion.branched_cover_total(h, 0) + Fraction(_cone_ledger_sum(h), 2),
+            torsion.branched_cover_total(h, 0) + Fraction(ledger[h], 2),
         )
         for parity in (0, 1):
-            decomposition = invariants.degree2_tau1_decomposition(h, parity)
             yield _eq(
                 f"torsion/grand_total[h={h},parity={parity}]",
-                decomposition["grand_total"],
+                splits[h, parity]["grand_total"],
                 invariants.degree2(InvariantQuery(2, h, parity, (1,))),
             )
+    # the tau_1 split part by part: the census gap times the (1)-contact bubble
+    # value -1/12, and the dominant term less half the cone-table ledger sum
+    yield _cases(f"torsion/etale_total[h<={top}]", lambda h, p: f"h={h},parity={p}", (
+        ((h, p), d["etale_total"], (-1) ** p * spin.parity_census(h).gap * Fraction(-1, 12))
+        for (h, p), d in splits.items()
+    ))
+    yield _cases(f"torsion/branched_total[h<={top}]", lambda h, p: f"h={h},parity={p}", (
+        ((h, p), d["branched_total"],
+         (-1) ** p * ((h - 2) * Fraction(2) ** (2 * h - 3) - Fraction(ledger[h], 2)))
+        for (h, p), d in splits.items()
+    ))
+    if top >= 2:  # the twisted breakdown and the torsion degrees start at h = 2
+        # the total assembled from spin, degree1 and the dominant term
+        yield _cases(f"torsion/twisted_total[h<={top}]", lambda h: f"h={h}", (
+            ((h,), invariants.twisted_breakdown(h).total, (h - Fraction(8, 3)) * 2 ** (2 * h - 3))
+            for h in range(2, top + 1)
+        ))
+        # each locus against its half of the ledger's a-part, from the cone tables
+        degrees = {h: torsion.torsion_degrees(h) for h in range(2, top + 1)}
+        yield _cases(f"torsion/degrees_vs_cones[h<={top}]", lambda h, locus: f"h={h},{locus}", (
+            ((h, locus), degrees[h][locus], Fraction(cones[h][j], 2))
+            for h in degrees
+            for j, locus in enumerate(("over_lambda_prime", "over_lambda_dblprime"))
+        ))
     for i in range(1, 6):
         yield _eq(
             f"torsion/exponent_from_boundary[i={i}]",

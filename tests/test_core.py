@@ -14,6 +14,7 @@ from thetagw.core import (
     recording_ops,
     required_chi,
 )
+import thetagw
 from thetagw import invariants, spin, torsion
 
 
@@ -154,7 +155,6 @@ def test_op_registry_holds_exactly_the_verified_operations():
         "invariants.degree1",
         "invariants.degree2",
         "invariants.degree2_base",
-        "invariants.relative_invariant_table",
         "invariants.twisted_breakdown",
         "invariants.degree2_tau1_decomposition",
         "invariants.value_table",
@@ -175,6 +175,15 @@ def test_op_registry_holds_exactly_the_verified_operations():
         "invariants.evaluate",
     ):
         assert name not in OPS
+
+
+def test_every_export_resolves():
+    assert len(set(thetagw.__all__)) == len(thetagw.__all__)
+    missing = [name for name in thetagw.__all__ if not hasattr(thetagw, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from thetagw import *", namespace)
+    assert set(thetagw.__all__) <= set(namespace)
 
 
 def test_recording_ops_sees_nested_calls_and_only_inside_the_block():

@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from thetagw.core import InternalInconsistencyError, descendant_multisets
+from thetagw.core import descendant_multisets
 from thetagw.invariants import (
     InvariantQuery,
-    TwistedBreakdown,
     _descendant_block_deg2,
     degree1,
     degree2,
@@ -15,7 +14,6 @@ from thetagw.invariants import (
     degree2_tau1_decomposition,
     descendant_block,
     evaluate,
-    relative_invariant_table,
     twisted_breakdown,
     value_table,
 )
@@ -111,16 +109,6 @@ def test_evaluate_dispatch():
     assert evaluate(InvariantQuery(2, 0, 0, (1,))) == Fraction(-1, 3)
 
 
-def test_relative_table():
-    for h in range(5):
-        for parity in (0, 1):
-            table = relative_invariant_table(h, parity)
-            assert table["spin_11"] == (-1) ** parity * 2**h
-            assert table["bubble_11_tau1"] == Fraction(-1, 6)
-            assert table["bubble_1_unit"] == 1
-            assert table["bubble_1_tau1"] == Fraction(-1, 12)
-
-
 def test_twisted_breakdown_values():
     b2 = twisted_breakdown(2)
     assert b2.total == Fraction(-4, 3)
@@ -134,21 +122,13 @@ def test_twisted_breakdown_values():
 def test_twisted_breakdown_identity_range():
     for h in range(2, 31):
         b = twisted_breakdown(h)
-        assert b.total - b.etale_count * b.per_etale == b.branched_part
-        assert b.per_etale == Fraction(-1, 12)
+        assert b.total == (h - Fraction(8, 3)) * 2 ** (2 * h - 3)
+        assert (b.per_etale, b.etale_count) == (Fraction(-1, 12), 4**h)
 
 
 def test_twisted_breakdown_guards():
     with pytest.raises(ValueError):
         twisted_breakdown(1)
-    with pytest.raises(InternalInconsistencyError):
-        TwistedBreakdown(
-            h=2,
-            total=Fraction(1),
-            per_etale=Fraction(-1, 12),
-            etale_count=16,
-            branched_part=Fraction(0),
-        )
 
 
 def test_tau1_decomposition():

@@ -1,6 +1,6 @@
-"""Mutants of the ops whose restating checks were deleted from verify: a
+"""Mutants that a restating or an aggregate check would let through: a
 perturbed return value, patched into every module that binds the op, must
-still turn some check of each suite that runs the op into a FAIL."""
+turn some check of each suite that runs the op into a FAIL."""
 
 import sys
 from fractions import Fraction
@@ -14,10 +14,16 @@ BOUNDS = {"hmax": 3, "kmax": 2, "alpha_budget": 2}
 
 
 def _shifted_census(c: ParityCensus) -> ParityCensus:
-    return ParityCensus(c.h, c.total, c.even_count + 1, c.odd_count - 1)
+    return ParityCensus(c.h, c.total, c.even_count + 1)
+
+
+def _moved_tau1_split(d: dict) -> dict:
+    # the grand total is unchanged; only the split between the parts moves
+    return {**d, "etale_total": d["etale_total"] + 1, "branched_total": d["branched_total"] - 1}
 
 
 MUTANTS = {
+    "invariants.degree2_tau1_decomposition": _moved_tau1_split,
     "invariants.degree2": lambda value: value + 1,
     "invariants.degree2_base": lambda value: value + 1,
     "spin.parity_census": _shifted_census,

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -116,7 +117,7 @@ def test_shifted_total_fails_verify(monkeypatch):
     failed = {c.name for c in run_suite("torsion", hmax=3).failures}
     assert failed == {f"torsion/twisted_balance[h={h}]" for h in (2, 3)} | {
         f"torsion/grand_total[h={h},parity={p}]" for h in (2, 3) for p in (0, 1)
-    }
+    } | {"torsion/branched_total[h<=3]"}
 
 
 @pytest.mark.parametrize("name", ["_a", "_b"])
@@ -187,9 +188,40 @@ def test_balanced_twisted_breakdown_mutant_fails_verify(monkeypatch):
 
     def mutant(h):
         b = original(h)
-        # still balances: total and branched part move together
-        return TwistedBreakdown(b.h, b.total + 1, b.per_etale, b.etale_count, b.branched_part + 1)
+        # still balances: the total follows the branched part
+        return TwistedBreakdown(b.h, b.per_etale, b.etale_count, b.branched_part + 1)
 
     monkeypatch.setattr(invariants, "twisted_breakdown", mutant)
     failed = {c.name for c in run_suite("torsion", hmax=5).failures}
-    assert failed == {f"torsion/twisted_balance[h={h}]" for h in range(2, 6)}
+    assert failed == {f"torsion/twisted_balance[h={h}]" for h in range(2, 6)} | {
+        "torsion/twisted_total[h<=5]"
+    }
+
+
+def test_extra_etale_component_fails_the_twisted_total(monkeypatch):
+    original = invariants.twisted_breakdown
+
+    def mutant(h):
+        b = original(h)
+        return dataclasses.replace(b, etale_count=b.etale_count + 1)
+
+    monkeypatch.setattr(invariants, "twisted_breakdown", mutant)
+    failed = {c.name: c.lhs for c in run_suite("torsion", hmax=5).failures}
+    assert failed == {"torsion/twisted_total[h<=5]": "4 of 4 cases differ, first at h=2"}
+
+
+def test_torsion_degrees_wrong_past_h4_fails_verify(monkeypatch):
+    # the typed-in checks stop at h = 4; the cone-table route covers the rest
+    original = torsion.torsion_degrees
+
+    def mutant(h):
+        degrees = original(h)
+        if h >= 5:
+            degrees["over_lambda_dblprime"] += Fraction(1, 2)
+        return degrees
+
+    monkeypatch.setattr(torsion, "torsion_degrees", mutant)
+    failed = {c.name: c.lhs for c in run_suite("torsion", hmax=6).failures}
+    assert failed == {
+        "torsion/degrees_vs_cones[h<=6]": "2 of 10 cases differ, first at h=5,over_lambda_dblprime"
+    }
