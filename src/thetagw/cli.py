@@ -4,9 +4,9 @@ emit value tables.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 any other
 error (with {"error": "<ExcType>: <message>"} on stderr), so a crash never
 reads as a verification failure.  All values are printed as exact rational
-strings, however many digits they have; --float adds a decimal convenience
-column (IEEE overflow to +-inf past the double range) without ever
-replacing the exact field.
+strings "num/den" in lowest terms ("num" when den is 1), however many digits
+they have; --float adds a decimal convenience column (IEEE overflow to +-inf
+past the double range) without ever replacing the exact field.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 
-from .core import rational_str, required_chi
+from .core import required_chi
 from .invariants import InvariantQuery, evaluate, value_table
 from .verify import SUITE_NAMES, Report, run_suite, suite_bounds
 
@@ -66,13 +65,13 @@ def _require_genus_limit(name: str, value: int | None) -> None:
         raise UsageError(f"{name} must be <= {MAX_GENUS}")
 
 
-def _to_float(value: Fraction) -> float:
-    """Nearest double, or an infinity of the value's sign past the double
-    range (IEEE overflow)."""
+def _to_float(num: int, den: int) -> float:
+    """Nearest double to num/den (den > 0), or an infinity of its sign past
+    the double range (IEEE overflow)."""
     try:
-        return float(value)
+        return num / den
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
 # Rendered lines are written in chunks of about this many characters, so
@@ -105,11 +104,14 @@ def _fixed_fields(fmt: str, parity: str, alphas: tuple[int, ...]) -> str:
 
 
 def _write_rows(degree: int, parity: str, rows, fmt: str, with_float: bool) -> None:
-    """Print each (h, alphas, value) of the iterable as it arrives.
+    """Print each (h, alphas, num, den) of the iterable as it arrives, the
+    value num/den in lowest terms with den > 0.
 
     The fields fixed by the multiset, and chi0 = chi at h = 0, are encoded
-    once per multiset; each row is then one f-string of h, chi0 - degree*h,
-    the exact value and the optional float."""
+    once per multiset; the value text, with its optional float, only when
+    the multiset's (num, den) differs from its previous row, so a degree-1
+    table formats each value once.  Each row is then one f-string of h,
+    chi0 - degree*h and the value text."""
     if fmt == "json":
         lead = f'{{"degree": {degree}, "h": '
         value_open, value_close, end = ', "value": "', '"', "}\n"
@@ -125,19 +127,21 @@ def _write_rows(degree: int, parity: str, rows, fmt: str, with_float: bool) -> N
         lead, value_open, value_close, end = f"degree={degree} h=", " value=", "", "\n"
         float_open, float_text = " value_float=", repr
 
-    fixed: dict[tuple[int, ...], tuple[str, int]] = {}
+    # per multiset: [fixed fields, chi0, last num, last den, its value text]
+    seen: dict[tuple[int, ...], list] = {}
     lines: list[str] = []
     size = 0
-    for h, alphas, value in rows:
-        entry = fixed.get(alphas)
+    for h, alphas, num, den in rows:
+        entry = seen.get(alphas)
         if entry is None:
-            entry = fixed[alphas] = (
-                _fixed_fields(fmt, parity, alphas), required_chi(degree, 0, alphas)
-            )
-        mid, chi0 = entry
-        tail = f"{float_open}{float_text(_to_float(value))}" if with_float else ""
-        line = (f"{lead}{h}{mid}{chi0 - degree * h}"
-                f"{value_open}{rational_str(value)}{value_close}{tail}{end}")
+            entry = seen[alphas] = [
+                _fixed_fields(fmt, parity, alphas), required_chi(degree, 0, alphas), None, None, ""
+            ]
+        if entry[2] != num or entry[3] != den:
+            exact = f"{num}/{den}" if den != 1 else str(num)
+            tail = f"{float_open}{float_text(_to_float(num, den))}" if with_float else ""
+            entry[2:] = num, den, f"{value_open}{exact}{value_close}{tail}{end}"
+        line = f"{lead}{h}{entry[0]}{entry[1] - degree * h}{entry[4]}"
         lines.append(line)
         size += len(line)
         if size >= _CHUNK_CHARS:
@@ -153,7 +157,8 @@ def _cmd_invariant(args) -> int:
     _require_genus_limit("genus", args.genus)
     alphas = _parse_alphas(args.alphas)
     value = evaluate(InvariantQuery(args.degree, args.genus, _PARITY[args.parity], alphas))
-    _write_rows(args.degree, args.parity, [(args.genus, alphas, value)], args.format, args.float)
+    row = (args.genus, alphas, value.numerator, value.denominator)
+    _write_rows(args.degree, args.parity, [row], args.format, args.float)
     return 0
 
 

@@ -18,7 +18,8 @@ the bubble's assignment sum).
 
 Degree 1 does not depend on the genus and degree 2 depends on it only
 through 2^h, so :func:`value_table` evaluates each insertion multiset once,
-at h = 0, and scales.
+at h = 0, and yields its rows as integer pairs (num, den) in lowest terms,
+doubling a degree-2 pair per genus in integers.
 
 The degree-2 formula specializes at h = 0 to the rational base case
 (total space of O(-1) over the projective line); the degeneration module
@@ -134,21 +135,28 @@ def evaluate(q: InvariantQuery) -> Fraction:
 
 @op
 def value_table(d: int, parity: int, hmax: int, alpha_budget: int):
-    """Yield (h, alphas, value) for 0 <= h <= hmax and every multiset of
+    """Yield (h, alphas, num, den) for 0 <= h <= hmax and every multiset of
     :func:`thetagw.core.descendant_multisets` (alpha_budget, alpha_budget),
-    genus-major.  Each multiset is evaluated once, at h = 0: the degree-1
-    value does not depend on h and the degree-2 value is 2^h times it."""
+    genus-major, where num/den is the invariant in lowest terms, den > 0.
+
+    Each multiset is evaluated once, at h = 0: the degree-1 value does not
+    depend on h and the degree-2 value is 2^h times it, so a degree-2 pair
+    doubles per genus in integers (an even den gives up a factor of 2,
+    otherwise num is shifted left)."""
     if hmax < 0:
         raise ValueError("hmax must be >= 0")
-    base = [
-        (alphas, evaluate(InvariantQuery(d, 0, parity, alphas)))
-        for alphas in descendant_multisets(alpha_budget, alpha_budget)
-    ]
+    base = []
+    for alphas in descendant_multisets(alpha_budget, alpha_budget):
+        value = evaluate(InvariantQuery(d, 0, parity, alphas))
+        base.append((alphas, value.numerator, value.denominator))
     for h in range(hmax + 1):
-        for alphas, value in base:
-            yield h, alphas, value
+        for alphas, num, den in base:
+            yield h, alphas, num, den
         if d == 2:
-            base = [(alphas, 2 * value) for alphas, value in base]
+            base = [
+                (alphas, num, den >> 1) if den & 1 == 0 else (alphas, num << 1, den)
+                for alphas, num, den in base
+            ]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -11,7 +13,7 @@ import pytest
 from thetagw import verify
 from thetagw.cli import MAX_EXPONENT, MAX_GENUS, main
 from thetagw.core import OPS, descendant_multisets, required_chi
-from thetagw.invariants import InvariantQuery, degree2, evaluate, value_table
+from thetagw.invariants import InvariantQuery, degree2, evaluate
 from thetagw.verify import run_suite
 
 
@@ -180,8 +182,38 @@ def test_table_matches_the_record_oracle(capsys, fmt, with_float):
                 "--parity", parity, "--alpha-budget", str(budget), "--format", fmt, *flag,
             )
             assert (code, err) == (0, "")
-            rows = value_table(degree, int(parity == "odd"), hmax, budget)
+            rows = [
+                (h, alphas, evaluate(InvariantQuery(degree, h, int(parity == "odd"), alphas)))
+                for h, alphas in itertools.product(range(hmax + 1), descendant_multisets(budget, budget))
+            ]
             assert out == oracle_output(degree, parity, rows, fmt, with_float)
+
+
+# sha256 of the stdout of small tables, pinned from the output of the
+# per-row Fraction renderer that the integer-row renderer replaced
+TABLE_DIGESTS = {
+    ("1", "even", "60", "6", "csv", False):
+        "6e2103ee96406a537d791ce7bf8b2c8eba7cf71480a4365b170bf059af2b1827",
+    ("1", "odd", "40", "5", "json", False):
+        "cec346ee157c7b36f9d9207062a6029a85e376410fbb0d33a4d79ae55c894c15",
+    ("2", "odd", "50", "4", "csv", True):
+        "f278e992716b42aca92196701f3708d2c9f775d8ae8b894e712c2884b41f2a01",
+    ("2", "even", "60", "5", "json", False):
+        "a1fb12e5f0affb6204cfe26ac90acbccca8937a26e00e2168790d8b23f22dbcc",
+}
+
+
+@pytest.mark.parametrize(
+    "shape, digest", TABLE_DIGESTS.items(), ids=["d1-csv", "d1-json", "d2-csv-float", "d2-json"]
+)
+def test_table_output_bytes_are_pinned(capsys, shape, digest):
+    degree, parity, hmax, budget, fmt, with_float = shape
+    code, out, err = run_cli(
+        capsys, "table", "--degree", degree, "--hmax", hmax, "--parity", parity,
+        "--alpha-budget", budget, "--format", fmt, *(["--float"] if with_float else []),
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

@@ -93,12 +93,33 @@ def test_tripled_weights_past_tau1_fail_verify(monkeypatch):
     assert failed == {f"degeneration/weight_beta_oracle[a={a}]" for a in range(2, 13)}
 
 
+def _doubled(num, den):
+    """The pair of 2 * num/den, in lowest terms."""
+    q = 2 * Fraction(num, den)
+    return q.numerator, q.denominator
+
+
 @pytest.mark.parametrize(
     "edit, lhs, rhs",
     [
-        # the last genus scaled by 2^{h+1} instead of 2^h: h = 3 is wrong throughout
+        # the last genus scaled by 2^{h+1} instead of 2^h, reduced: h = 3 is wrong throughout
         (
-            lambda rows: [(h, alphas, 2 * v if h == 3 else v) for h, alphas, v in rows],
+            lambda rows: [(h, alphas, *_doubled(num, den)) if h == 3 else (h, alphas, num, den)
+                          for h, alphas, num, den in rows],
+            "8 of 32 cases differ, first at h=3,alphas=[]",
+            "32 cases equal",
+        ),
+        # the right values at h = 3, but not in lowest terms
+        (
+            lambda rows: [(h, alphas, 2 * num, 2 * den) if h == 3 else (h, alphas, num, den)
+                          for h, alphas, num, den in rows],
+            "8 of 32 cases differ, first at h=3,alphas=[]",
+            "32 cases equal",
+        ),
+        # the right values at h = 3, with a negative denominator
+        (
+            lambda rows: [(h, alphas, -num, -den) if h == 3 else (h, alphas, num, den)
+                          for h, alphas, num, den in rows],
             "8 of 32 cases differ, first at h=3,alphas=[]",
             "32 cases equal",
         ),
@@ -106,12 +127,12 @@ def test_tripled_weights_past_tau1_fail_verify(monkeypatch):
         (lambda rows: rows[:-1], "1 of 32 cases differ, first at h=3,alphas=[1, 1]", "32 cases equal"),
         # the table runs one row long, into h = 4
         (
-            lambda rows: rows + [(4, (), rows[0][2])],
+            lambda rows: rows + [(4, (), *rows[0][2:])],
             "1 of 33 cases differ, first at h=4,alphas=[]",
             "33 cases equal",
         ),
     ],
-    ids=["doubled", "missing_row", "extra_row"],
+    ids=["doubled", "not_reduced", "negated", "missing_row", "extra_row"],
 )
 def test_value_table_check_catches_a_wrong_last_genus(monkeypatch, edit, lhs, rhs):
     value_table = invariants.value_table

@@ -94,10 +94,13 @@ def test_integer_kernel_matches_the_fraction_blocks():
 
 def test_value_table_rows_in_genus_major_order():
     for d, parity in itertools.product((1, 2), (0, 1)):
-        assert list(value_table(d, parity, 4, 3)) == [
+        rows = list(value_table(d, parity, 4, 3))
+        assert [(h, alphas, Fraction(num, den)) for h, alphas, num, den in rows] == [
             (h, alphas, evaluate(InvariantQuery(d, h, parity, alphas)))
             for h, alphas in itertools.product(range(5), descendant_multisets(3, 3))
         ]
+        # each pair in lowest terms with a positive denominator
+        assert all(den > 0 and math.gcd(num, den) == 1 for _, _, num, den in rows)
     with pytest.raises(ValueError):
         list(value_table(1, 0, -1, 2))
     with pytest.raises(ValueError):

@@ -22,10 +22,17 @@ def _moved_tau1_split(d: dict) -> dict:
     return {**d, "etale_total": d["etale_total"] + 1, "branched_total": d["branched_total"] - 1}
 
 
+def _shifted_last_genus(rows) -> list:
+    rows = list(rows)
+    last = rows[-1][0]
+    return [(h, alphas, num << 1 if h == last else num, den) for h, alphas, num, den in rows]
+
+
 MUTANTS = {
     "invariants.degree2_tau1_decomposition": _moved_tau1_split,
     "invariants.degree2": lambda value: value + 1,
     "invariants.degree2_base": lambda value: value + 1,
+    "invariants.value_table": _shifted_last_genus,
     "spin.parity_census": _shifted_census,
     "spin.signed_double_cover_sum": lambda value: value + Fraction(1, 2),
 }

@@ -115,7 +115,7 @@ def test_shifted_total_fails_verify(monkeypatch):
     monkeypatch.setattr(torsion, "branched_cover_total", shifted)
     monkeypatch.setattr(invariants, "branched_cover_total", shifted)
     failed = {c.name for c in run_suite("torsion", hmax=3).failures}
-    assert failed == {f"torsion/twisted_balance[h={h}]" for h in (2, 3)} | {
+    assert failed == {
         f"torsion/grand_total[h={h},parity={p}]" for h in (2, 3) for p in (0, 1)
     } | {"torsion/branched_total[h<=3]"}
 
@@ -193,9 +193,7 @@ def test_balanced_twisted_breakdown_mutant_fails_verify(monkeypatch):
 
     monkeypatch.setattr(invariants, "twisted_breakdown", mutant)
     failed = {c.name for c in run_suite("torsion", hmax=5).failures}
-    assert failed == {f"torsion/twisted_balance[h={h}]" for h in range(2, 6)} | {
-        "torsion/twisted_total[h<=5]"
-    }
+    assert failed == {"torsion/twisted_total[h<=5]"}
 
 
 def test_extra_etale_component_fails_the_twisted_total(monkeypatch):
