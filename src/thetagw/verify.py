@@ -3,9 +3,13 @@ checks with a uniform pass/fail report.
 
 Suites are generator functions that yield :class:`Check`s, and a suite's
 parameters, with their defaults, are the sweep bounds it takes; the CLI
-renders the checks and turns failures into exit codes.  A check over many
-cases passes when every case agrees and then reads "<n> cases equal"; on
-failure its lhs reads "<k> of <n> cases differ, first at <case>".
+renders the checks and turns failures into exit codes.  Each identity is
+one check, whatever the bounds: a single typed-in value is compared on its
+own, and a sweep is one check over all of its cases.  A sweep passes when
+every case agrees and then reads "<n> cases equal"; on failure its lhs reads
+"<k> of <n> cases differ, first at <case>: <its lhs>" and its rhs is that
+case's rhs.  Only the first failing case is kept and formatted, so a sweep
+takes memory independent of its case count, and a sweep with no case fails.
 Coverage is measured, not declared: :func:`run_suite` records which
 operations registered with :func:`thetagw.core.op` ran while the suites
 did, and the combined run fails unless every registered operation ran.
@@ -58,20 +62,24 @@ def _eq(name: str, lhs, rhs) -> Check:
 
 def _cases(name: str, label: Callable[..., str], cases: Iterable[tuple]) -> Check:
     """One check over many cases, each a (key, lhs, rhs) triple; it passes
-    when every lhs equals its rhs.  Only the first failing key is labelled,
-    as ``label(*key)``."""
+    when every lhs equals its rhs, and fails when there is no case.  Only the
+    first failing case is kept: its key is labelled, as ``label(*key)``, and
+    its two values are formatted."""
     count = wrong = 0
-    first = ()
+    first = None
     for key, lhs, rhs in cases:
         count += 1
         if lhs != rhs:
             wrong += 1
             if wrong == 1:
-                first = key
-    agree = f"{count} cases equal"
+                first = key, lhs, rhs
+    if not count:
+        return Check(name, False, "no cases", "at least one case")
     if wrong:
-        lhs = f"{wrong} of {count} cases differ, first at {label(*first)}"
-        return Check(name, False, lhs, agree)
+        key, lhs, rhs = first
+        lhs = f"{wrong} of {count} cases differ, first at {label(*key)}: {lhs}"
+        return Check(name, False, lhs, str(rhs))
+    agree = f"{count} cases equal"
     return Check(name, True, agree, agree)
 
 
@@ -108,51 +116,49 @@ def _beta_weight(a: int) -> Fraction:
 
 
 def suite_parity(hmax: int = 12) -> Iterator[Check]:
-    c0 = spin.parity_census(0)
-    yield _eq("parity/census[h=0]", (c0.total, c0.even_count, c0.odd_count), (1, 1, 0))
-    c1 = spin.parity_census(1)
-    yield _eq("parity/census[h=1]", (c1.total, c1.even_count, c1.odd_count), (4, 3, 1))
-    for h in range(hmax + 1):
-        c = spin.parity_census(h)
-        yield _eq(f"parity/census_gap[h={h}]", c.gap, 2**h)
-    # Arf additivity over an orthogonal splitting of the base curve
-    for h1 in range(1, hmax // 2 + 1):
-        for h2 in range(h1, hmax - h1 + 1):
-            c1, c2 = spin.parity_census(h1), spin.parity_census(h2)
-            c = spin.parity_census(h1 + h2)
-            yield _eq(
-                f"parity/census_splits[h1={h1},h2={h2}]",
-                (c.even_count, c.odd_count),
-                (
-                    c1.even_count * c2.even_count + c1.odd_count * c2.odd_count,
-                    c1.even_count * c2.odd_count + c1.odd_count * c2.even_count,
-                ),
-            )
-    for h in range(1, min(hmax, 5) + 1):
-        brute = spin.arf_census_bruteforce(h)
-        closed = spin.parity_census(h)
-        yield _eq(
-            f"parity/arf_oracle[h={h}]",
-            (brute.even_count, brute.odd_count),
-            (closed.even_count, closed.odd_count),
-        )
+    top = max(hmax, 2)  # the splits start at h = 2
+    census = [spin.parity_census(h) for h in range(top + 1)]
+
+    def counts(c: spin.ParityCensus) -> tuple[int, int]:
+        return c.even_count, c.odd_count
+
+    yield _cases("parity/census[h<=1]", lambda h: f"h={h}", (
+        ((h,), (census[h].total, *counts(census[h])), want)
+        for h, want in ((0, (1, 1, 0)), (1, (4, 3, 1)))
+    ))
+    yield _cases(f"parity/census_gap[h<={hmax}]", lambda h: f"h={h}", (
+        ((h,), census[h].gap, 2**h) for h in range(hmax + 1)
+    ))
+
+    def splits():
+        # Arf additivity over an orthogonal splitting of the base curve
+        for h1 in range(1, top // 2 + 1):
+            for h2 in range(h1, top - h1 + 1):
+                (e1, o1), (e2, o2) = counts(census[h1]), counts(census[h2])
+                yield (h1, h2), counts(census[h1 + h2]), (e1 * e2 + o1 * o2, e1 * o2 + o1 * e2)
+
+    yield _cases(f"parity/census_splits[h1+h2<={top}]", lambda h1, h2: f"h1={h1},h2={h2}", splits())
+    brute_top = min(hmax, 5)
+    yield _cases(f"parity/arf_oracle[h<={brute_top}]", lambda h: f"h={h}", (
+        ((h,), counts(spin.arf_census_bruteforce(h)), counts(census[h]))
+        for h in range(1, brute_top + 1)
+    ))
 
 
 def suite_etale(hmax: int = 12) -> Iterator[Check]:
-    for h in range(hmax + 1):
-        for parity in (0, 1):
-            sign = (-1) ** parity
-            tag = f"h={h},parity={parity}"
-            yield _eq(
-                f"etale/unweighted_closed_form[{tag}]",
-                spin.signed_double_cover_sum(h, parity, "unweighted"),
-                sign * 2**h,
-            )
-            yield _eq(
-                f"etale/weighted_vs_degree2[{tag}]",
-                spin.signed_double_cover_sum(h, parity, "weighted"),
-                invariants.degree2(InvariantQuery(2, h, parity, ())),
-            )
+    def label(h, parity):
+        return f"h={h},parity={parity}"
+
+    grid = list(itertools.product(range(hmax + 1), (0, 1)))
+    yield _cases(f"etale/unweighted_closed_form[h<={hmax}]", label, (
+        ((h, p), spin.signed_double_cover_sum(h, p, "unweighted"), (-1) ** p * 2**h)
+        for h, p in grid
+    ))
+    yield _cases(f"etale/weighted_vs_degree2[h<={hmax}]", label, (
+        ((h, p), spin.signed_double_cover_sum(h, p, "weighted"),
+         invariants.degree2(InvariantQuery(2, h, p, ())))
+        for h, p in grid
+    ))
 
 
 def _branch_residual(k: int) -> TruncatedSeries:
@@ -177,60 +183,65 @@ def _branch_residual(k: int) -> TruncatedSeries:
 
 
 def suite_hankel(kmax: int = 8) -> Iterator[Check]:
-    for k in range(1, kmax + 1):
-        for shift in (1, 2):
+    def determinants():
+        for k, shift in itertools.product(range(1, kmax + 1), (1, 2)):
             det = hankel.hankel_det(k, shift)
             entries = [[sqrt_coeff(shift + i + j) for j in range(k)] for i in range(k)]
             # every permutation product carries the diagonal's z-exponent
             exp = sum(entries[i][i].exp for i in range(k))
-            yield _eq(
-                f"hankel/det_closed_form[k={k},shift={shift}]",
-                (det.coeff, det.exp),
-                (_bareiss_det([[e.coeff for e in row] for row in entries]), exp),
-            )
-    for k in range(1, min(kmax, 6) + 1):
-        sol = hankel.solve_branch_system(k)
-        # Cramer's rule for B_k: column 0 of the sqrt_coeff system replaced
-        # by the right-hand side -D_{k+1+i}
-        system = [[sqrt_coeff(1 + i + j).coeff for j in range(k)] for i in range(k)]
-        replaced = [[-sqrt_coeff(k + 1 + i).coeff] + row[1:] for i, row in enumerate(system)]
-        yield _eq(
-            f"hankel/leading_coefficient[k={k}]",
-            (sol.b(k).coeff, sol.b(k).exp),
-            (_bareiss_det(replaced) / _bareiss_det(system), k),
-        )
-        # substitute back: row i reads sum_j D_{1+i+j} B_{k-j} = -D_{k+1+i}
-        yield _cases(f"hankel/substitution[k={k}]", lambda i: f"row={i}", (
-            ((i,), sum(sqrt_coeff(1 + i + j).coeff * sol.b(k - j).coeff for j in range(k)),
-             -sqrt_coeff(k + 1 + i).coeff)
-            for i in range(k)
-        ))
+            bareiss = _bareiss_det([[e.coeff for e in row] for row in entries])
+            yield (k, shift), (det.coeff, det.exp), (bareiss, exp)
+
+    yield _cases(
+        f"hankel/det_closed_form[k<={kmax}]", lambda k, shift: f"k={k},shift={shift}", determinants()
+    )
+    sols = {k: hankel.solve_branch_system(k) for k in range(1, min(kmax, 6) + 1)}
+
+    def cramer():
+        for k, sol in sols.items():
+            # Cramer's rule for B_k: column 0 of the sqrt_coeff system replaced
+            # by the right-hand side -D_{k+1+i}
+            system = [[sqrt_coeff(1 + i + j).coeff for j in range(k)] for i in range(k)]
+            replaced = [[-sqrt_coeff(k + 1 + i).coeff] + row[1:] for i, row in enumerate(system)]
+            cramer_b = _bareiss_det(replaced) / _bareiss_det(system)
+            yield (k,), (sol.b(k).coeff, sol.b(k).exp), (cramer_b, k)
+
+    yield _cases(f"hankel/leading_coefficient[k<={len(sols)}]", lambda k: f"k={k}", cramer())
+    # substitute back: row i reads sum_j D_{1+i+j} B_{k-j} = -D_{k+1+i}
+    yield _cases(f"hankel/substitution[k<={len(sols)}]", lambda k, i: f"k={k},row={i}", (
+        ((k, i), sum(sqrt_coeff(1 + i + j).coeff * sol.b(k - j).coeff for j in range(k)),
+         -sqrt_coeff(k + 1 + i).coeff)
+        for k, sol in sols.items()
+        for i in range(k)
+    ))
     # the oracle residual once per flag level, and its valuation v_k
     residuals = {k: _branch_residual(k) for k in range(max(kmax, 4) + 1)}
     valuation = {k: r.z_order() for k, r in residuals.items()}
-    for k in range(kmax + 1):
-        yield _eq(
-            f"hankel/residual[k={k}]",
-            residuals[k],
-            TruncatedSeries([0] * (2 * k + 1) + [Fraction(1, 16**k)], 2 * k + 2),
-        )
-    for k in range(1, min(kmax, 5) + 1):
-        for n, name in ((2 * k + 1, "solvable_at_boundary"),
-                        (2 * k + 2, "insolvable_past_boundary")):
-            yield _eq(f"hankel/{name}[k={k}]", hankel.branch_identity_holds(k, n), n <= valuation[k])
-    for k in range(4):
-        yield _cases(f"hankel/decisions_vs_residual[k={k}]", lambda n: f"n={n}", (
-            ((n,), hankel.branch_identity_holds(k, n), n <= valuation[k])
-            for n in range(1, 2 * k + 4)
+    yield _cases(f"hankel/residual[k<={kmax}]", lambda k: f"k={k}", (
+        ((k,), residuals[k], TruncatedSeries([0] * (2 * k + 1) + [Fraction(1, 16**k)], 2 * k + 2))
+        for k in range(kmax + 1)
+    ))
+    boundary_top = min(kmax, 5)
+    for extra, name in ((1, "solvable_at_boundary"), (2, "insolvable_past_boundary")):
+        yield _cases(f"hankel/{name}[k<={boundary_top}]", lambda k: f"k={k}", (
+            ((k,), hankel.branch_identity_holds(k, 2 * k + extra), 2 * k + extra <= valuation[k])
+            for k in range(1, boundary_top + 1)
         ))
-    for i in range(1, 6):
-        yield _eq(f"hankel/torsion_exponent[i={i}]", hankel.max_solvable_order(i - 1), valuation[i - 1])
+    yield _cases("hankel/decisions_vs_residual[k<=3]", lambda k, n: f"k={k},n={n}", (
+        ((k, n), hankel.branch_identity_holds(k, n), n <= valuation[k])
+        for k in range(4)
+        for n in range(1, 2 * k + 4)
+    ))
+    yield _cases("hankel/torsion_exponent[i<=5]", lambda i: f"i={i}", (
+        ((i,), hankel.max_solvable_order(i - 1), valuation[i - 1]) for i in range(1, 6)
+    ))
 
 
-def _table_check(d: int, parity: int, hmax: int, alpha_budget: int) -> Check:
+def _table_cases(d: int, parity: int, hmax: int, alpha_budget: int) -> Iterator[tuple]:
     """Every integer row of the single-pass table against one evaluation per
-    row; the evaluated `Fraction` is normalized, so a row that is not in
-    lowest terms or has a negative denominator differs too."""
+    row, as (key, lhs, rhs) cases keyed by (d, parity, h, alphas); the
+    evaluated `Fraction` is normalized, so a row that is not in lowest terms
+    or has a negative denominator differs too."""
     multisets = list(descendant_multisets(alpha_budget, alpha_budget))
 
     def evaluated(h: int, alphas: tuple[int, ...]) -> tuple:
@@ -239,12 +250,9 @@ def _table_check(d: int, parity: int, hmax: int, alpha_budget: int) -> Check:
 
     expected = itertools.starmap(evaluated, itertools.product(range(hmax + 1), multisets))
     rows = invariants.value_table(d, parity, hmax, alpha_budget)
-    # a missing or an extra row pairs with None, and is labelled by its other side
-    return _cases(
-        f"degeneration/value_table[d={d},parity={parity}]",
-        lambda h, alphas, *_: f"h={h},alphas={list(alphas)}",
-        ((row or want, row, want) for row, want in itertools.zip_longest(rows, expected)),
-    )
+    # a missing or an extra row pairs with None, and is keyed by its other side
+    for row, want in itertools.zip_longest(rows, expected):
+        yield (d, parity, *(row or want)[:2]), row, want
 
 
 def _kernel_case(parity: int, alphas: tuple[int, ...]) -> tuple:
@@ -294,36 +302,40 @@ def suite_degeneration(hmax: int = 10, alpha_budget: int = 6) -> Iterator[Check]
         ((key, degeneration.gluing_consistent(*key), True)
          for key in itertools.product(range(hmax + 1), (0, 1), multisets)),
     )
-    for alphas in multisets:
-        yield _eq(
-            f"degeneration/bubble_factorizes[alphas={list(alphas)}]",
-            degeneration.bubble_channel_11(alphas),
-            2 ** len(alphas) * invariants.degree1(InvariantQuery(1, 0, 0, alphas)),
-        )
-    for alphas in ((1, 2), (0, 1, 3), (2, 2, 1)):
-        base = degeneration.bubble_channel_11(tuple(sorted(alphas)))
-        yield _cases(
-            f"degeneration/bubble_symmetric[alphas={list(alphas)}]",
-            lambda p: f"order={list(p)}",
-            (((p,), degeneration.bubble_channel_11(p), base) for p in itertools.permutations(alphas)),
-        )
-    for alphas in descendant_multisets(3, 4):
-        yield _eq(
-            f"degeneration/bubble_unit_insertion[alphas={list(alphas)}]",
-            degeneration.bubble_channel_11(alphas + (0,)),
-            2 * degeneration.bubble_channel_11(alphas),
-        )
-    for h in (0, 1, 5):
-        for alphas in descendant_multisets(3, 6):
-            n = len(alphas)
-            ratio = Fraction(2) ** (h + n - 1)
-            for a in alphas:
-                ratio *= 4**a
-            yield _eq(
-                f"degeneration/degree_ratio[h={h},alphas={list(alphas)}]",
-                invariants.degree2(InvariantQuery(2, h, 0, alphas)),
-                invariants.degree1(InvariantQuery(1, h, 0, alphas)) * ratio,
-            )
+    yield _cases(
+        f"degeneration/bubble_factorizes[n<={_NMAX},sum<={alpha_budget}]",
+        lambda alphas: f"alphas={list(alphas)}",
+        (((alphas,), degeneration.bubble_channel_11(alphas),
+          2 ** len(alphas) * invariants.degree1(InvariantQuery(1, 0, 0, alphas)))
+         for alphas in multisets),
+    )
+    sorted_bubbles = {
+        alphas: degeneration.bubble_channel_11(tuple(sorted(alphas)))
+        for alphas in ((1, 2), (0, 1, 3), (2, 2, 1))
+    }
+    yield _cases(
+        "degeneration/bubble_symmetric",
+        lambda alphas, p: f"alphas={list(alphas)},order={list(p)}",
+        (((alphas, p), degeneration.bubble_channel_11(p), base)
+         for alphas, base in sorted_bubbles.items()
+         for p in itertools.permutations(alphas)),
+    )
+    yield _cases(
+        "degeneration/bubble_unit_insertion[n<=3,sum<=4]",
+        lambda alphas: f"alphas={list(alphas)}",
+        (((alphas,), degeneration.bubble_channel_11(alphas + (0,)),
+          2 * degeneration.bubble_channel_11(alphas))
+         for alphas in descendant_multisets(3, 4)),
+    )
+    # degree 2 over degree 1 is 2^{h+n-1} prod_i 4^{a_i}
+    yield _cases(
+        "degeneration/degree_ratio[h=0,1,5,n<=3,sum<=6]",
+        lambda h, alphas: f"h={h},alphas={list(alphas)}",
+        (((h, alphas), invariants.degree2(InvariantQuery(2, h, 0, alphas)),
+          invariants.degree1(InvariantQuery(1, h, 0, alphas))
+          * Fraction(2) ** (h + len(alphas) - 1 + 2 * sum(alphas)))
+         for h, alphas in itertools.product((0, 1, 5), descendant_multisets(3, 6))),
+    )
     # the integer kernel against the per-insertion Fraction blocks at h = 0;
     # the genus enters through 2^h alone, which genus_scaling_grid checks
     yield _cases(
@@ -331,18 +343,23 @@ def suite_degeneration(hmax: int = 10, alpha_budget: int = 6) -> Iterator[Check]
         lambda parity, alphas: f"parity={parity},alphas={list(alphas)}",
         itertools.starmap(_kernel_case, itertools.product((0, 1), multisets)),
     )
-    for d, parity in itertools.product((1, 2), (0, 1)):
-        yield _table_check(d, parity, hmax, alpha_budget)
-    for a in range(2 * alpha_budget + 1):
-        weight = _beta_weight(a)
-        yield _eq(
-            f"degeneration/weight_beta_oracle[a={a}]",
-            (
-                invariants.degree1(InvariantQuery(1, 0, 0, (a,))),
-                invariants.degree2(InvariantQuery(2, 0, 0, (a,))),
-            ),
-            (weight * Fraction(-2) ** -a, weight * Fraction(-2) ** a),
-        )
+    yield _cases(
+        f"degeneration/value_table[hmax={hmax},sum<={alpha_budget}]",
+        lambda d, parity, h, alphas: f"d={d},parity={parity},h={h},alphas={list(alphas)}",
+        itertools.chain.from_iterable(
+            _table_cases(d, parity, hmax, alpha_budget)
+            for d, parity in itertools.product((1, 2), (0, 1))
+        ),
+    )
+    weights = [_beta_weight(a) for a in range(2 * alpha_budget + 1)]
+    yield _cases(
+        f"degeneration/weight_beta_oracle[a<={2 * alpha_budget}]",
+        lambda a: f"a={a}",
+        (((a,), (invariants.degree1(InvariantQuery(1, 0, 0, (a,))),
+                 invariants.degree2(InvariantQuery(2, 0, 0, (a,)))),
+          (weight * Fraction(-2) ** -a, weight * Fraction(-2) ** a))
+         for a, weight in enumerate(weights)),
+    )
 
 
 def _cone_sums(h: int) -> list[int]:
@@ -359,6 +376,7 @@ def _cone_sums(h: int) -> list[int]:
 
 
 def suite_torsion(hmax: int = 50) -> Iterator[Check]:
+    hmax = max(hmax, 2)  # the h >= 2 sweeps need h = 2 in range
     yield _eq("torsion/ledger[h=2]", (torsion.build_ledger(2).a, torsion.build_ledger(2).b), ((1,), (-1,)))
     yield _eq("torsion/ledger[h=3]", (torsion.build_ledger(3).a, torsion.build_ledger(3).b), ((1, 2), (-1, -2)))
     ledger4 = torsion.build_ledger(4)
@@ -383,8 +401,9 @@ def suite_torsion(hmax: int = 50) -> Iterator[Check]:
     )
     yield _eq("torsion/cone_table[r=0,dblprime]", torsion.cone_multiplicity_table(0, "dblprime"), [(1, 2)])
 
-    for h in range(2, hmax + 1):
-        yield _eq(f"torsion/identity[h={h}]", torsion.branched_cover_identity(h), True)
+    yield _cases(f"torsion/identity[h<={hmax}]", lambda h: f"h={h}", (
+        ((h,), torsion.branched_cover_identity(h), True) for h in range(2, hmax + 1)
+    ))
 
     degrees2 = torsion.torsion_degrees(2)
     yield _eq("torsion/degrees[h=2]", (degrees2["over_lambda_prime"], degrees2["over_lambda_dblprime"]), (Fraction(1, 2), Fraction(0)))
@@ -398,13 +417,10 @@ def suite_torsion(hmax: int = 50) -> Iterator[Check]:
     splits = {
         (h, p): invariants.degree2_tau1_decomposition(h, p) for h in range(top + 1) for p in (0, 1)
     }
-    for h in range(2, top + 1):
-        for parity in (0, 1):
-            yield _eq(
-                f"torsion/grand_total[h={h},parity={parity}]",
-                splits[h, parity]["grand_total"],
-                invariants.degree2(InvariantQuery(2, h, parity, (1,))),
-            )
+    yield _cases(f"torsion/grand_total[h<={top}]", lambda h, p: f"h={h},parity={p}", (
+        ((h, p), splits[h, p]["grand_total"], invariants.degree2(InvariantQuery(2, h, p, (1,))))
+        for h, p in itertools.product(range(2, top + 1), (0, 1))
+    ))
     # the tau_1 split part by part: the census gap times the (1)-contact bubble
     # value -1/12, and the dominant term less half the cone-table ledger sum
     yield _cases(f"torsion/etale_total[h<={top}]", lambda h, p: f"h={h},parity={p}", (
@@ -416,25 +432,23 @@ def suite_torsion(hmax: int = 50) -> Iterator[Check]:
          (-1) ** p * ((h - 2) * Fraction(2) ** (2 * h - 3) - Fraction(ledger[h], 2)))
         for (h, p), d in splits.items()
     ))
-    if top >= 2:  # the twisted breakdown and the torsion degrees start at h = 2
-        # the total assembled from spin, degree1 and the dominant term
-        yield _cases(f"torsion/twisted_total[h<={top}]", lambda h: f"h={h}", (
-            ((h,), invariants.twisted_breakdown(h).total, (h - Fraction(8, 3)) * 2 ** (2 * h - 3))
-            for h in range(2, top + 1)
-        ))
-        # each locus against its half of the ledger's a-part, from the cone tables
-        degrees = {h: torsion.torsion_degrees(h) for h in range(2, top + 1)}
-        yield _cases(f"torsion/degrees_vs_cones[h<={top}]", lambda h, locus: f"h={h},{locus}", (
-            ((h, locus), degrees[h][locus], Fraction(cones[h][j], 2))
-            for h in degrees
-            for j, locus in enumerate(("over_lambda_prime", "over_lambda_dblprime"))
-        ))
-    for i in range(1, 6):
-        yield _eq(
-            f"torsion/exponent_from_boundary[i={i}]",
-            hankel.max_solvable_order(i - 1),
-            max(mult for _, mult in torsion.cone_multiplicity_table(i - 1, "prime")),
-        )
+    # the total assembled from spin, degree1 and the dominant term
+    yield _cases(f"torsion/twisted_total[h<={top}]", lambda h: f"h={h}", (
+        ((h,), invariants.twisted_breakdown(h).total, (h - Fraction(8, 3)) * 2 ** (2 * h - 3))
+        for h in range(2, top + 1)
+    ))
+    # each locus against its half of the ledger's a-part, from the cone tables
+    degrees = {h: torsion.torsion_degrees(h) for h in range(2, top + 1)}
+    yield _cases(f"torsion/degrees_vs_cones[h<={top}]", lambda h, locus: f"h={h},{locus}", (
+        ((h, locus), degrees[h][locus], Fraction(cones[h][j], 2))
+        for h in degrees
+        for j, locus in enumerate(("over_lambda_prime", "over_lambda_dblprime"))
+    ))
+    yield _cases("torsion/exponent_from_boundary[i<=5]", lambda i: f"i={i}", (
+        ((i,), hankel.max_solvable_order(i - 1),
+         max(mult for _, mult in torsion.cone_multiplicity_table(i - 1, "prime")))
+        for i in range(1, 6)
+    ))
 
 
 # every suite, in the order "all" runs them

@@ -325,6 +325,16 @@ def test_verify_rejects_bounds_no_selected_suite_takes(capsys):
     assert code == 0
 
 
+def test_verify_all_at_the_smallest_bounds(capsys):
+    # the h >= 2 sweeps still reach h = 2, so every operation runs
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "all", "--hmax", "1", "--kmax", "1",
+        "--alpha-budget", "1",
+    )
+    assert code == 0
+    assert "PASS coverage/all-operations-exercised" in out.splitlines()
+
+
 def test_run_suite_rejects_unknown():
     with pytest.raises(ValueError):
         run_suite("bogus")

@@ -60,13 +60,10 @@ def test_bubble_factorizes_check_catches_a_skipped_assignment(monkeypatch):
     monkeypatch.setattr(
         degeneration, "itertools", SimpleNamespace(product=product_missing_last)
     )
-    checks = [
-        c
-        for c in run_suite("degeneration").checks
-        if c.name.startswith("degeneration/bubble_factorizes[")
-    ]
-    assert len(checks) == 74
-    assert not any(c.passed for c in checks)
+    checks = {c.name: c for c in run_suite("degeneration").checks}
+    check = checks["degeneration/bubble_factorizes[n<=4,sum<=6]"]
+    # the empty multiset's one assignment is the one skipped
+    assert (check.lhs, check.rhs) == ("74 of 74 cases differ, first at alphas=[]: 0", "1")
 
 
 def test_tripled_weights_past_tau1_fail_verify(monkeypatch):
@@ -89,8 +86,12 @@ def test_tripled_weights_past_tau1_fail_verify(monkeypatch):
         monkeypatch.setattr(
             module, name, lambda a, kernel=kernel: kernel(a) * (3 if a >= 2 else 1)
         )
-    failed = {c.name for c in run_suite("all").failures}
-    assert failed == {f"degeneration/weight_beta_oracle[a={a}]" for a in range(2, 13)}
+    failed = {c.name: c for c in run_suite("all").failures}
+    assert list(failed) == ["degeneration/weight_beta_oracle[a<=12]"]
+    oracle = failed["degeneration/weight_beta_oracle[a<=12]"]
+    weight = Fraction(1, 60)  # 2!/5!
+    assert oracle.lhs == f"11 of 13 cases differ, first at a=2: {(3 * weight / 4, 3 * weight * 4)}"
+    assert oracle.rhs == str((weight / 4, weight * 4))
 
 
 def _doubled(num, den):
@@ -106,30 +107,34 @@ def _doubled(num, den):
         (
             lambda rows: [(h, alphas, *_doubled(num, den)) if h == 3 else (h, alphas, num, den)
                           for h, alphas, num, den in rows],
-            "8 of 32 cases differ, first at h=3,alphas=[]",
-            "32 cases equal",
+            "32 of 128 cases differ, first at d=1,parity=0,h=3,alphas=[]: (3, (), 2, 1)",
+            "(3, (), 1, 1)",
         ),
         # the right values at h = 3, but not in lowest terms
         (
             lambda rows: [(h, alphas, 2 * num, 2 * den) if h == 3 else (h, alphas, num, den)
                           for h, alphas, num, den in rows],
-            "8 of 32 cases differ, first at h=3,alphas=[]",
-            "32 cases equal",
+            "32 of 128 cases differ, first at d=1,parity=0,h=3,alphas=[]: (3, (), 2, 2)",
+            "(3, (), 1, 1)",
         ),
         # the right values at h = 3, with a negative denominator
         (
             lambda rows: [(h, alphas, -num, -den) if h == 3 else (h, alphas, num, den)
                           for h, alphas, num, den in rows],
-            "8 of 32 cases differ, first at h=3,alphas=[]",
-            "32 cases equal",
+            "32 of 128 cases differ, first at d=1,parity=0,h=3,alphas=[]: (3, (), -1, -1)",
+            "(3, (), 1, 1)",
         ),
-        # the table stops one row early, inside the last genus
-        (lambda rows: rows[:-1], "1 of 32 cases differ, first at h=3,alphas=[1, 1]", "32 cases equal"),
-        # the table runs one row long, into h = 4
+        # each table stops one row early, inside the last genus
+        (
+            lambda rows: rows[:-1],
+            "4 of 128 cases differ, first at d=1,parity=0,h=3,alphas=[1, 1]: None",
+            "(3, (1, 1), 1, 144)",
+        ),
+        # each table runs one row long, into h = 4
         (
             lambda rows: rows + [(4, (), *rows[0][2:])],
-            "1 of 33 cases differ, first at h=4,alphas=[]",
-            "33 cases equal",
+            "4 of 132 cases differ, first at d=1,parity=0,h=4,alphas=[]: (4, (), 1, 1)",
+            "None",
         ),
     ],
     ids=["doubled", "not_reduced", "negated", "missing_row", "extra_row"],
@@ -139,12 +144,7 @@ def test_value_table_check_catches_a_wrong_last_genus(monkeypatch, edit, lhs, rh
     monkeypatch.setattr(
         invariants, "value_table", lambda *bounds: edit(list(value_table(*bounds)))
     )
-    checks = {
-        c.name: c
-        for c in run_suite("degeneration", hmax=3, alpha_budget=2).checks
-        if c.name.startswith("degeneration/value_table[")
-    }
-    assert len(checks) == 4 and not any(c.passed for c in checks.values())
-    # 8 multisets of budget 2 at each of h = 0..3
-    assert checks["degeneration/value_table[d=2,parity=1]"].lhs == lhs
-    assert {c.rhs for c in checks.values()} == {rhs}
+    checks = {c.name: c for c in run_suite("degeneration", hmax=3, alpha_budget=2).checks}
+    # 8 multisets of budget 2 at each of h = 0..3, in each of the four tables
+    check = checks["degeneration/value_table[hmax=3,sum<=2]"]
+    assert (check.lhs, check.rhs) == (lhs, rhs)

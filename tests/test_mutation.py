@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from thetagw import verify
+from thetagw.hankel import BranchCoefficients
+from thetagw.series import ZMonomial
 from thetagw.spin import ParityCensus
 
 BOUNDS = {"hmax": 3, "kmax": 2, "alpha_budget": 2}
@@ -15,6 +17,17 @@ BOUNDS = {"hmax": 3, "kmax": 2, "alpha_budget": 2}
 
 def _shifted_census(c: ParityCensus) -> ParityCensus:
     return ParityCensus(c.h, c.total, c.even_count + 1)
+
+
+def _shifted_b1(sol: BranchCoefficients) -> BranchCoefficients:
+    # coeffs runs B_k, ..., B_1, so B_1 is the last entry
+    b1 = sol.coeffs[-1]
+    return BranchCoefficients(sol.k, sol.coeffs[:-1] + (ZMonomial(b1.coeff + 1, b1.exp),))
+
+
+def _shifted_last_multiplicity(table: list) -> list:
+    *rest, (defect, mult) = table
+    return [*rest, (defect, mult + 1)]
 
 
 def _moved_tau1_split(d: dict) -> dict:
@@ -29,12 +42,21 @@ def _shifted_last_genus(rows) -> list:
 
 
 MUTANTS = {
+    "degeneration.bubble_channel_11": lambda value: value + 1,
+    "hankel.branch_identity_holds": lambda holds: not holds,
+    "hankel.hankel_det": lambda det: ZMonomial(det.coeff + 1, det.exp),
+    "hankel.max_solvable_order": lambda order: order + 1,
+    "hankel.solve_branch_system": _shifted_b1,
+    "invariants.degree1": lambda value: value + 1,
     "invariants.degree2_tau1_decomposition": _moved_tau1_split,
     "invariants.degree2": lambda value: value + 1,
     "invariants.degree2_base": lambda value: value + 1,
     "invariants.value_table": _shifted_last_genus,
+    "spin.arf_census_bruteforce": _shifted_census,
     "spin.parity_census": _shifted_census,
     "spin.signed_double_cover_sum": lambda value: value + Fraction(1, 2),
+    "torsion.branched_cover_identity": lambda holds: not holds,
+    "torsion.cone_multiplicity_table": _shifted_last_multiplicity,
 }
 
 

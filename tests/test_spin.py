@@ -45,8 +45,11 @@ def test_census_splits_check_catches_a_wrong_census(monkeypatch):
         return ParityCensus(h, c.total, c.even_count + 2)
 
     monkeypatch.setattr(spin, "parity_census", shifted)
-    failed = {c.name for c in run_suite("parity").failures}
-    assert "parity/census_splits[h1=3,h2=4]" in failed
+    failed = {c.name: c for c in run_suite("parity").failures}
+    # three splits of h = 7 on the left, five with h2 = 7 on the right
+    splits = failed["parity/census_splits[h1+h2<=12]"]
+    assert splits.lhs == "8 of 36 cases differ, first at h1=1,h2=6: (8258, 8126)"
+    assert splits.rhs == "(8256, 8128)"
 
 
 def test_census_rejects_negative_genus():

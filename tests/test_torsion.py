@@ -114,10 +114,11 @@ def test_shifted_total_fails_verify(monkeypatch):
     # invariants binds the name too, for the tau_1 decomposition
     monkeypatch.setattr(torsion, "branched_cover_total", shifted)
     monkeypatch.setattr(invariants, "branched_cover_total", shifted)
-    failed = {c.name for c in run_suite("torsion", hmax=3).failures}
+    failed = {c.name: c.lhs for c in run_suite("torsion", hmax=3).failures}
     assert failed == {
-        f"torsion/grand_total[h={h},parity={p}]" for h in (2, 3) for p in (0, 1)
-    } | {"torsion/branched_total[h<=3]"}
+        "torsion/grand_total[h<=3]": "4 of 4 cases differ, first at h=2,parity=0: -1/3",
+        "torsion/branched_total[h<=3]": "8 of 8 cases differ, first at h=0,parity=0: 3/4",
+    }
 
 
 @pytest.mark.parametrize("name", ["_a", "_b"])
@@ -126,8 +127,11 @@ def test_off_by_one_closed_form_fails_verify(monkeypatch, name, j):
     closed = getattr(torsion, name)
     monkeypatch.setattr(torsion, name, lambda i: closed(i) + (i == j))
     check = {"_a": "torsion/a_closed_forms[r<=30]", "_b": "torsion/b_two_routes[j<=60]"}[name]
-    failed = {c.name: c.lhs for c in run_suite("torsion", hmax=2).failures}
-    assert failed[check] == f"1 of 61 cases differ, first at j={j}"
+    # the closed form is the lhs of the a check and the rhs of the b check
+    lhs, rhs = (closed(j) + 1, closed(j)) if name == "_a" else (closed(j), closed(j) + 1)
+    failed = {c.name: c for c in run_suite("torsion", hmax=2).failures}
+    assert failed[check].lhs == f"1 of 61 cases differ, first at j={j}: {lhs}"
+    assert failed[check].rhs == str(rhs)
 
 
 def test_torsion_degrees_values():
@@ -204,8 +208,11 @@ def test_extra_etale_component_fails_the_twisted_total(monkeypatch):
         return dataclasses.replace(b, etale_count=b.etale_count + 1)
 
     monkeypatch.setattr(invariants, "twisted_breakdown", mutant)
-    failed = {c.name: c.lhs for c in run_suite("torsion", hmax=5).failures}
-    assert failed == {"torsion/twisted_total[h<=5]": "4 of 4 cases differ, first at h=2"}
+    failed = {c.name: (c.lhs, c.rhs) for c in run_suite("torsion", hmax=5).failures}
+    # at h = 2 the total is (2 - 8/3) * 2 = -4/3, and one more etale component adds -1/12
+    assert failed == {
+        "torsion/twisted_total[h<=5]": ("4 of 4 cases differ, first at h=2: -17/12", "-4/3")
+    }
 
 
 def test_torsion_degrees_wrong_past_h4_fails_verify(monkeypatch):
@@ -219,7 +226,9 @@ def test_torsion_degrees_wrong_past_h4_fails_verify(monkeypatch):
         return degrees
 
     monkeypatch.setattr(torsion, "torsion_degrees", mutant)
-    failed = {c.name: c.lhs for c in run_suite("torsion", hmax=6).failures}
+    failed = {c.name: (c.lhs, c.rhs) for c in run_suite("torsion", hmax=6).failures}
     assert failed == {
-        "torsion/degrees_vs_cones[h<=6]": "2 of 10 cases differ, first at h=5,over_lambda_dblprime"
+        "torsion/degrees_vs_cones[h<=6]": (
+            "2 of 10 cases differ, first at h=5,over_lambda_dblprime: 139/2", "69"
+        )
     }

@@ -1,0 +1,92 @@
+"""The verify report: one check per identity, whatever the sweep bounds."""
+
+import inspect
+import re
+
+import pytest
+
+from thetagw import verify
+from thetagw.core import descendant_multisets
+from thetagw.verify import run_suite
+
+SUITES = [s for s in verify.SUITE_NAMES if s != "all"]
+
+
+def _case_counts(report) -> dict[str, int]:
+    """{family: n} over the multi-case checks, a family being the check name
+    without its bracketed bounds; every check must pass."""
+    counts = {}
+    for check in report.checks:
+        assert check.passed, check
+        match = re.fullmatch(r"(\d+) cases equal", check.lhs)
+        if match:
+            counts[check.name.partition("[")[0]] = int(match[1])
+    return counts
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_report_size_does_not_depend_on_the_bounds(suite):
+    defaults = {
+        key: param.default
+        for key, param in inspect.signature(verify._SUITE_FUNCS[suite]).parameters.items()
+    }
+    larger = {key: value + 2 for key, value in defaults.items()}
+    reports = [run_suite(suite, **bounds) for bounds in (defaults, larger)]
+    assert len(reports[0].checks) == len(reports[1].checks)
+    counts = [_case_counts(report) for report in reports]
+    assert counts[0].keys() == counts[1].keys()
+    assert all(n >= 1 for n in counts[0].values())
+
+
+@pytest.mark.parametrize("hmax, kmax, alpha_budget", [(12, 8, 6), (17, 10, 5)])
+def test_each_sweep_counts_its_cases(hmax, kmax, alpha_budget):
+    counts = _case_counts(run_suite("all", hmax=hmax, kmax=kmax, alpha_budget=alpha_budget))
+    grid = len(list(descendant_multisets(4, alpha_budget)))
+    table = len(list(descendant_multisets(alpha_budget, alpha_budget)))
+    top = min(hmax, 30)
+    expected = {
+        "parity/census_gap": hmax + 1,
+        # h1 <= h2 with h1 >= 1 and h1 + h2 <= hmax
+        "parity/census_splits": (hmax // 2) * (hmax - hmax // 2),
+        "etale/unweighted_closed_form": 2 * (hmax + 1),
+        "etale/weighted_vs_degree2": 2 * (hmax + 1),
+        "hankel/det_closed_form": 2 * kmax,
+        "hankel/residual": kmax + 1,
+        "degeneration/genus_scaling_grid": 2 * (hmax + 1) * grid,
+        "degeneration/bubble_factorizes": grid,
+        "degeneration/value_table": 4 * (hmax + 1) * table,
+        "degeneration/weight_beta_oracle": 2 * alpha_budget + 1,
+        "torsion/identity": hmax - 1,
+        "torsion/grand_total": 2 * (top - 1),
+        "torsion/twisted_total": top - 1,
+    }
+    assert {family: counts[family] for family in expected} == expected
+
+
+def test_a_sweep_with_no_case_fails():
+    check = verify._cases("empty", str, iter(()))
+    assert not check.passed
+
+
+def test_a_failing_sweep_formats_its_first_failing_case_alone():
+    formatted = []
+
+    class Value:
+        """An int that records each time it is formatted."""
+
+        def __init__(self, n: int):
+            self.n = n
+
+        def __eq__(self, other):
+            return self.n == other.n
+
+        def __str__(self):
+            formatted.append(self.n)
+            return str(self.n)
+
+    check = verify._cases("signs", lambda i: f"i={i}", (
+        ((i,), Value(i), Value(-i if i % 3 == 1 else i)) for i in range(10)
+    ))
+    assert not check.passed
+    assert (check.lhs, check.rhs) == ("3 of 10 cases differ, first at i=1: 1", "-1")
+    assert formatted == [1, -1]
