@@ -7,6 +7,11 @@ reads as a verification failure.  All values are printed as exact rational
 strings "num/den" in lowest terms ("num" when den is 1), however many digits
 they have; --float adds a decimal convenience column (IEEE overflow to +-inf
 past the double range) without ever replacing the exact field.
+
+Only ``verify`` loads the verification suites (and the series, Hankel and
+degeneration modules they check); ``invariant`` and ``table`` load the
+evaluators alone, since each call is a fresh process whose time is mostly
+start-up.
 """
 
 from __future__ import annotations
@@ -18,9 +23,8 @@ import json
 import math
 import sys
 
-from .core import required_chi
+from .core import SUITE_NAMES, required_chi
 from .invariants import InvariantQuery, evaluate, value_table
-from .verify import SUITE_NAMES, Report, run_suite, suite_bounds
 
 
 # Largest genus (--genus, --hmax) and descendant exponent the CLI accepts.
@@ -171,7 +175,7 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _render_report(report: Report, fmt: str) -> None:
+def _render_report(report, fmt: str) -> None:
     if fmt == "json":
         payload = {
             "suite": report.suite,
@@ -204,6 +208,8 @@ def _render_report(report: Report, fmt: str) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite, suite_bounds
+
     taken = suite_bounds(args.suite)
     for name in ("hmax", "kmax", "alpha_budget"):
         flag, value = name.replace("_", "-"), getattr(args, name)

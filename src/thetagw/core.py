@@ -6,23 +6,36 @@ anywhere downstream) rounds.
 
 The operations the verify suites must exercise are marked with :func:`op`;
 :func:`recording_ops` measures which of them actually run.
+
+The library's records (:class:`Partition` here, and the results and queries
+of the other modules) are `collections.namedtuple` subclasses with
+``__slots__ = ()``.  The standard library's frozen-record decorator would
+import `inspect`, which costs more start-up than everything a ``table`` or
+``invariant`` process computes for a small query.  A record is a tuple: it
+equals the plain tuple of its fields, iterates over them, and is updated
+with ``_replace``.  A record that checks its fields does so in ``__new__``,
+and its ``_make`` goes through ``__new__``, so ``_replace`` checks them too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 Rational = Fraction
 
 # "module.name" of every function marked with @op.
 OPS: set[str] = set()
+
+# The verify suites, in the order "all" runs them, then "all".  The CLI takes
+# its choices from here without loading verify, whose suite table is keyed
+# by these names.
+SUITE_NAMES = ("degeneration", "hankel", "torsion", "parity", "etale", "all")
 
 _running_ops: ContextVar[set[str] | None] = ContextVar("running_ops", default=None)
 
@@ -78,8 +91,7 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "parts")):
     """Weakly increasing positive parts, with the gluing-formula bookkeeping.
 
     ``weight`` is the product of the parts and ``aut`` the order of the
@@ -87,13 +99,18 @@ class Partition:
     weighs the channel indexed by a partition with weight/aut.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
+    def __new__(cls, parts: tuple[int, ...]):
+        if any(p <= 0 for p in parts):
             raise ValueError("partition parts must be positive")
-        if list(self.parts) != sorted(self.parts):
+        if list(parts) != sorted(parts):
             raise ValueError("partition parts must be weakly increasing")
+        return super().__new__(cls, parts)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def total(self) -> int:

@@ -49,7 +49,7 @@ and the solve by substituting it back into the system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import binomial, op
@@ -68,17 +68,15 @@ def hankel_det(k: int, shift: int) -> ZMonomial:
     return ZMonomial(Fraction((-2) ** k, 4**exp), exp)
 
 
-@dataclass(frozen=True)
-class BranchCoefficients:
+class BranchCoefficients(namedtuple("BranchCoefficients", "k coeffs")):
     """Graded solution of (G_1 .. G_k) B = -G_{k+1}.
 
-    ``coeffs`` lists the monomials B_k, B_{k-1}, ..., B_1 in that order
-    (the unknown vector of the matrix equation); B_j has z-exponent j and
-    B_k always equals (-4)^{-k} z^k.
+    ``coeffs`` is a tuple of the monomials B_k, B_{k-1}, ..., B_1 in that
+    order (the unknown vector of the matrix equation); B_j has z-exponent j
+    and B_k always equals (-4)^{-k} z^k.
     """
 
-    k: int
-    coeffs: tuple[ZMonomial, ...]
+    __slots__ = ()
 
     def b(self, j: int) -> ZMonomial:
         if not 1 <= j <= self.k:

@@ -24,12 +24,36 @@ doubling a degree-2 pair per genus in integers.
 The degree-2 formula specializes at h = 0 to the rational base case
 (total space of O(-1) over the projective line); the degeneration module
 checks the genus-h values against it scaled by the spin-side factor.
+
+Where (h, parity) come from.  In the paper's application S is a minimal
+surface of general type with p_g > 0 and C in |K_S| a smooth canonical
+curve; the invariants of S localize to C, with L = K_S|_C the normal
+bundle.  Two classical facts fix the inputs:
+
+- h = K^2 + 1, and L is a theta characteristic.  Adjunction gives
+  2h - 2 = K_S.C + C^2 = 2 K^2, since C ~ K_S, and
+  K_C = (K_S + C)|_C = L^2.
+- parity = chi(O_S) mod 2.  Multiplying by the section s that cuts out C
+  gives 0 -> O_S -> K_S -> L -> 0, whose cohomology sequence
+  0 -> H^0(O_S) -> H^0(K_S) -> H^0(L) -> H^1(O_S) -> H^1(K_S) gives
+  h^0(L) = p_g - 1 + q - rank(s.), where s. : H^1(O_S) -> H^1(K_S) is
+  multiplication by s.  Under Serre duality H^1(K_S) = H^1(O_S)^*, s. is
+  the bilinear form (a, b) -> integral of s.a u b, which is skew because
+  1-classes anticommute, so its rank is even and
+  h^0(L) = p_g + 1 - q = chi(O_S) mod 2.
+
+So the degree-1 value with no insertions, (-1)^parity, is Lee-Parker's
+GW_K = (-1)^{chi(O_S)} (Lee-Parker, "A structure theorem for the
+Gromov-Witten invariants of Kahler surfaces").  Verify pins it on the
+quintic surface in P^3: K^2 = 5, p_g = 4 and q = 0, so h = 6 and
+chi(O_S) = 5 is odd (C is a plane quintic with h^0(O_C(1)) = 3), and the
+value is -1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import descendant_multisets, op, required_chi
@@ -73,29 +97,30 @@ def _kernel(sign: int, alphas, two_power: int) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class InvariantQuery:
+class InvariantQuery(namedtuple("InvariantQuery", "d h parity alphas")):
     """A request for one invariant value.
 
     parity is h^0(L) mod 2; alphas are the descendant exponents at point
-    insertions (may be empty).
+    insertions (may be empty), stored as a tuple.
     """
 
-    d: int
-    h: int
-    parity: int
-    alphas: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d not in (1, 2):
+    def __new__(cls, d: int, h: int, parity: int, alphas=()):
+        alphas = tuple(alphas)
+        if d not in (1, 2):
             raise ValueError("degree must be 1 or 2")
-        if self.h < 0:
+        if h < 0:
             raise ValueError("genus must be >= 0")
-        if self.parity not in (0, 1):
+        if parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
-        if any(a < 0 for a in self.alphas):
+        if any(a < 0 for a in alphas):
             raise ValueError("descendant exponents must be >= 0")
-        object.__setattr__(self, "alphas", tuple(self.alphas))
+        return super().__new__(cls, d, h, parity, alphas)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def chi(self) -> int:
@@ -159,16 +184,13 @@ def value_table(d: int, parity: int, hmax: int, alpha_budget: int):
             ]
 
 
-@dataclass(frozen=True)
-class TwistedBreakdown:
+class TwistedBreakdown(namedtuple("TwistedBreakdown", "h per_etale etale_count branched_part")):
     """Decomposition of the degree-2 tau_1 twisted invariant of the base
-    curve into its etale-cover components and the branched-cover remainder;
+    curve into its etale-cover components (the int etale_count, each with
+    the Fraction per_etale) and the branched-cover remainder (a Fraction);
     the total is etale_count * per_etale + branched_part by construction."""
 
-    h: int
-    per_etale: Fraction
-    etale_count: int
-    branched_part: Fraction
+    __slots__ = ()
 
     @property
     def total(self) -> Fraction:

@@ -16,22 +16,25 @@ z-graded monomial it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import binomial
 
 
-@dataclass(frozen=True)
-class ZMonomial:
-    """A single term coeff * z^exp."""
+class ZMonomial(namedtuple("ZMonomial", "coeff exp")):
+    """A single term coeff * z^exp, with a Fraction coeff."""
 
-    coeff: Fraction
-    exp: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.exp < 0:
+    def __new__(cls, coeff: Fraction, exp: int):
+        if exp < 0:
             raise ValueError("z-exponent must be >= 0")
+        return super().__new__(cls, coeff, exp)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def __str__(self) -> str:
         if self.exp == 0:

@@ -24,7 +24,7 @@ closed form against a brute-force Arf count for small h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import op
@@ -32,14 +32,11 @@ from .core import op
 VARIANTS = ("unweighted", "weighted")
 
 
-@dataclass(frozen=True)
-class ParityCensus:
+class ParityCensus(namedtuple("ParityCensus", "h total even_count")):
     """Counts of even and odd quadratic refinements / theta parities; the
     odd count is total - even by construction."""
 
-    h: int
-    total: int
-    even_count: int
+    __slots__ = ()
 
     @property
     def odd_count(self) -> int:

@@ -58,7 +58,7 @@ check steps (i) and (iii) on the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import binomial, op
@@ -76,17 +76,12 @@ def _b(j: int) -> int:
     return -2 * (r // 2 + 1) if odd else -(r + 1)
 
 
-@dataclass(frozen=True)
-class TorsionLedger:
+class TorsionLedger(namedtuple("TorsionLedger", "h a b lambda_prime lambda_dblprime")):
     """The a/b sequences for j = 0..h-2 plus the counts of exceptional
     points at each ramification level (prime: conjugate branch pair,
-    dblprime: coincident branch pair)."""
+    dblprime: coincident branch pair), each a tuple of ints."""
 
-    h: int
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    lambda_prime: tuple[int, ...]
-    lambda_dblprime: tuple[int, ...]
+    __slots__ = ()
 
 
 @op

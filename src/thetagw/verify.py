@@ -25,7 +25,15 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from . import degeneration, hankel, invariants, spin, torsion
-from .core import OPS, binomial, descendant_multisets, partitions_of, recording_ops
+from .core import (
+    OPS,
+    SUITE_NAMES,
+    binomial,
+    descendant_multisets,
+    partitions_of,
+    rational_str,
+    recording_ops,
+)
 from .invariants import InvariantQuery
 from .series import TruncatedSeries, sqrt_coeff
 
@@ -56,8 +64,26 @@ class Report:
         return [c for c in self.checks if not c.passed]
 
 
+def _text(value) -> str:
+    """Exact text of a check value: a rational as num/den (see
+    :func:`thetagw.core.rational_str`), through records, shown as
+    ``Name(field=...)``, and through tuples, lists and dicts."""
+    if isinstance(value, Fraction):
+        return rational_str(value)
+    if hasattr(value, "_fields"):
+        fields = ", ".join(f"{f}={_text(v)}" for f, v in zip(value._fields, value))
+        return f"{type(value).__name__}({fields})"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_text, value)) + ("," if len(value) == 1 else "") + ")"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_text, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_text(k)}: {_text(v)}" for k, v in value.items()) + "}"
+    return str(value)
+
+
 def _eq(name: str, lhs, rhs) -> Check:
-    return Check(name, lhs == rhs, str(lhs), str(rhs))
+    return Check(name, lhs == rhs, _text(lhs), _text(rhs))
 
 
 def _cases(name: str, label: Callable[..., str], cases: Iterable[tuple]) -> Check:
@@ -77,8 +103,8 @@ def _cases(name: str, label: Callable[..., str], cases: Iterable[tuple]) -> Chec
         return Check(name, False, "no cases", "at least one case")
     if wrong:
         key, lhs, rhs = first
-        lhs = f"{wrong} of {count} cases differ, first at {label(*key)}: {lhs}"
-        return Check(name, False, lhs, str(rhs))
+        lhs = f"{wrong} of {count} cases differ, first at {label(*key)}: {_text(lhs)}"
+        return Check(name, False, lhs, _text(rhs))
     agree = f"{count} cases equal"
     return Check(name, True, agree, agree)
 
@@ -143,6 +169,16 @@ def suite_parity(hmax: int = 12) -> Iterator[Check]:
         ((h,), counts(spin.arf_census_bruteforce(h)), counts(census[h]))
         for h in range(1, brute_top + 1)
     ))
+    # the quintic surface in P^3 and its canonical curve: h = K^2 + 1 and
+    # parity = chi(O_S) = p_g + 1 - q mod 2 (invariants docstring), and the
+    # degree-1 value with no insertions is Lee-Parker's (-1)^chi(O_S) = -1
+    k2, p_g, q = 5, 4, 0
+    h, parity = k2 + 1, (p_g + 1 - q) % 2
+    yield _eq(
+        f"parity/quintic_lee_parker[h={h}]",
+        invariants.degree1(InvariantQuery(1, h, parity)),
+        Fraction(-1),
+    )
 
 
 def suite_etale(hmax: int = 12) -> Iterator[Check]:
@@ -451,15 +487,8 @@ def suite_torsion(hmax: int = 50) -> Iterator[Check]:
     ))
 
 
-# every suite, in the order "all" runs them
-_SUITE_FUNCS = {
-    "degeneration": suite_degeneration,
-    "hankel": suite_hankel,
-    "torsion": suite_torsion,
-    "parity": suite_parity,
-    "etale": suite_etale,
-}
-SUITE_NAMES = (*_SUITE_FUNCS, "all")
+# every suite, in the order "all" runs them, by the name the CLI offers
+_SUITE_FUNCS = {name: globals()[f"suite_{name}"] for name in SUITE_NAMES if name != "all"}
 
 
 def suite_bounds(suite: str) -> frozenset[str]:

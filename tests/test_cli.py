@@ -341,7 +341,6 @@ def test_run_suite_rejects_unknown():
 
 
 def test_failing_check_reports_both_values_and_exit_1(capsys, monkeypatch):
-    from thetagw import cli as cli_mod
     from thetagw.verify import Check, Report
 
     fake = Report(
@@ -349,7 +348,7 @@ def test_failing_check_reports_both_values_and_exit_1(capsys, monkeypatch):
         checks=[Check("parity/fake", False, "1/2", "1/3")],
         coverage={},
     )
-    monkeypatch.setattr(cli_mod, "run_suite", lambda *a, **k: fake)
+    monkeypatch.setattr(verify, "run_suite", lambda *a, **k: fake)
     code, out, _ = run_cli(capsys, "verify", "--suite", "parity")
     assert code == 1
     assert "FAIL parity/fake lhs=1/2 rhs=1/3" in out

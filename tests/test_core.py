@@ -195,3 +195,18 @@ def test_recording_ops_sees_nested_calls_and_only_inside_the_block():
         invariants.descendant_block(2)
     assert inner == {"torsion.torsion_degrees", "torsion.build_ledger"}
     assert outer == inner | {"spin.parity_census"}
+
+
+def test_records_are_tuples_that_check_their_fields_on_replace():
+    q = invariants.InvariantQuery(1, 2, 0, [1, 2])
+    assert q == (1, 2, 0, (1, 2))
+    assert q._replace(h=3) == invariants.InvariantQuery(1, 3, 0, (1, 2))
+    assert not hasattr(q, "__dict__")
+    with pytest.raises(ValueError, match="genus must be >= 0"):
+        q._replace(h=-1)
+    with pytest.raises(ValueError, match="weakly increasing"):
+        Partition((1, 2))._replace(parts=(2, 1))
+    with pytest.raises(ValueError, match="z-exponent"):
+        thetagw.ZMonomial(Fraction(1), 0)._replace(exp=-1)
+    census = spin.parity_census(1)
+    assert (census, census.odd_count) == ((1, 4, 3), 1)

@@ -89,9 +89,9 @@ def test_tripled_weights_past_tau1_fail_verify(monkeypatch):
     failed = {c.name: c for c in run_suite("all").failures}
     assert list(failed) == ["degeneration/weight_beta_oracle[a<=12]"]
     oracle = failed["degeneration/weight_beta_oracle[a<=12]"]
-    weight = Fraction(1, 60)  # 2!/5!
-    assert oracle.lhs == f"11 of 13 cases differ, first at a=2: {(3 * weight / 4, 3 * weight * 4)}"
-    assert oracle.rhs == str((weight / 4, weight * 4))
+    # at a = 2 the weight 2!/5! = 1/60, over and times 4, is tripled on the left
+    assert oracle.lhs == "11 of 13 cases differ, first at a=2: (1/80, 1/5)"
+    assert oracle.rhs == "(1/240, 1/15)"
 
 
 def _doubled(num, den):

@@ -8,9 +8,11 @@ from fractions import Fraction
 import pytest
 
 from thetagw import verify
+from thetagw.core import OPS
 from thetagw.hankel import BranchCoefficients
 from thetagw.series import ZMonomial
 from thetagw.spin import ParityCensus
+from thetagw.torsion import TorsionLedger
 
 BOUNDS = {"hmax": 3, "kmax": 2, "alpha_budget": 2}
 
@@ -35,6 +37,14 @@ def _moved_tau1_split(d: dict) -> dict:
     return {**d, "etale_total": d["etale_total"] + 1, "branched_total": d["branched_total"] - 1}
 
 
+def _shifted_last_a(ledger: TorsionLedger) -> TorsionLedger:
+    return ledger._replace(a=ledger.a[:-1] + (ledger.a[-1] + 1,))
+
+
+def _shifted_prime_degree(degrees: dict) -> dict:
+    return {**degrees, "over_lambda_prime": degrees["over_lambda_prime"] + 1}
+
+
 def _shifted_last_genus(rows) -> list:
     rows = list(rows)
     last = rows[-1][0]
@@ -43,6 +53,7 @@ def _shifted_last_genus(rows) -> list:
 
 MUTANTS = {
     "degeneration.bubble_channel_11": lambda value: value + 1,
+    "degeneration.gluing_consistent": lambda holds: not holds,
     "hankel.branch_identity_holds": lambda holds: not holds,
     "hankel.hankel_det": lambda det: ZMonomial(det.coeff + 1, det.exp),
     "hankel.max_solvable_order": lambda order: order + 1,
@@ -51,12 +62,17 @@ MUTANTS = {
     "invariants.degree2_tau1_decomposition": _moved_tau1_split,
     "invariants.degree2": lambda value: value + 1,
     "invariants.degree2_base": lambda value: value + 1,
+    "invariants.twisted_breakdown": lambda b: b._replace(branched_part=b.branched_part + 1),
     "invariants.value_table": _shifted_last_genus,
     "spin.arf_census_bruteforce": _shifted_census,
     "spin.parity_census": _shifted_census,
     "spin.signed_double_cover_sum": lambda value: value + Fraction(1, 2),
+    "torsion.b_from_cones": lambda b: b + 1,
     "torsion.branched_cover_identity": lambda holds: not holds,
+    "torsion.branched_cover_total": lambda value: value + 1,
+    "torsion.build_ledger": _shifted_last_a,
     "torsion.cone_multiplicity_table": _shifted_last_multiplicity,
+    "torsion.torsion_degrees": _shifted_prime_degree,
 }
 
 
@@ -83,3 +99,7 @@ def test_perturbed_op_fails_every_suite_that_runs_it(monkeypatch, op, perturb):
             ran.append(suite)
             assert report.failures, f"{suite} passes with {op} perturbed"
     assert ran
+
+
+def test_every_registered_op_has_a_mutant():
+    assert set(MUTANTS) == OPS

@@ -1,0 +1,72 @@
+"""What a ``table`` or ``invariant`` process loads: the evaluators, and neither
+the verification suites nor `dataclasses` and the `inspect` it pulls in."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import thetagw
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+EVALUATORS = {
+    "thetagw",
+    "thetagw.cli",
+    "thetagw.core",
+    "thetagw.invariants",
+    "thetagw.spin",
+    "thetagw.torsion",
+}
+
+
+def _imported(*args: str) -> set[str]:
+    """Every module a fresh interpreter running ``args`` imports, read from
+    its ``-X importtime`` report."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize("args", [
+    ("-c", "import thetagw.cli"),
+    ("-m", "thetagw.cli", "invariant", "--degree", "1", "--genus", "3", "--parity", "even"),
+    ("-m", "thetagw.cli", "table", "--degree", "2", "--hmax", "2", "--parity", "odd"),
+], ids=["import", "invariant", "table"])
+def test_evaluating_loads_only_the_evaluators(args):
+    imported = _imported(*args)
+    # run with -m, the cli module is __main__ rather than an imported thetagw.cli
+    loaded = {m for m in imported if m.partition(".")[0] == "thetagw"} | {"thetagw.cli"}
+    assert loaded == EVALUATORS
+    assert not {"dataclasses", "inspect"} & imported
+
+
+def test_every_export_is_listed_and_is_its_module_attribute():
+    listed = dir(thetagw)
+    for module_name, names in thetagw._EXPORTS.items():
+        module = importlib.import_module(f"thetagw.{module_name}")
+        for name in names:
+            obj = getattr(thetagw, name)
+            assert name in listed
+            assert obj is getattr(module, name), name
+            # the map names the defining module, not one that re-binds the name
+            assert getattr(obj, "__module__", module.__name__) in (module.__name__, "fractions")
+    assert sorted(name for names in thetagw._EXPORTS.values() for name in names) == thetagw.__all__
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'verify_all'"):
+        thetagw.verify_all

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -205,7 +204,7 @@ def test_extra_etale_component_fails_the_twisted_total(monkeypatch):
 
     def mutant(h):
         b = original(h)
-        return dataclasses.replace(b, etale_count=b.etale_count + 1)
+        return b._replace(etale_count=b.etale_count + 1)
 
     monkeypatch.setattr(invariants, "twisted_breakdown", mutant)
     failed = {c.name: (c.lhs, c.rhs) for c in run_suite("torsion", hmax=5).failures}

@@ -1,12 +1,17 @@
 """The verify report: one check per identity, whatever the sweep bounds."""
 
 import inspect
+import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from thetagw import verify
+from thetagw.cli import main
 from thetagw.core import descendant_multisets
+from thetagw.invariants import InvariantQuery
+from thetagw.series import ZMonomial
 from thetagw.verify import run_suite
 
 SUITES = [s for s in verify.SUITE_NAMES if s != "all"]
@@ -90,3 +95,24 @@ def test_a_failing_sweep_formats_its_first_failing_case_alone():
     assert not check.passed
     assert (check.lhs, check.rhs) == ("3 of 10 cases differ, first at i=1: 1", "-1")
     assert formatted == [1, -1]
+
+
+def test_values_are_formatted_exactly():
+    check = verify._eq("pair", (Fraction(1, 80), Fraction(1, 5)), (Fraction(1, 80), 0))
+    assert (check.passed, check.lhs, check.rhs) == (False, "(1/80, 1/5)", "(1/80, 0)")
+    nested = {(1, 1): [Fraction(-1, 2)], "z": ZMonomial(Fraction(3, 4), 2)}
+    assert verify._text(nested) == "{(1, 1): [-1/2], z: ZMonomial(coeff=3/4, exp=2)}"
+    assert verify._text((Fraction(2),)) == "(2,)"
+
+
+def test_degrees_json_lhs_is_exact(capsys):
+    assert main(["verify", "--suite", "torsion", "--format", "json"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["torsion/degrees[h=2]"]["lhs"] == "(1/2, 0)"
+
+
+def test_quintic_check_fails_under_a_flipped_parity_sign(monkeypatch):
+    # h = K^2 + 1 = 6 and parity = chi(O_S) mod 2 = 1 on the quintic surface
+    monkeypatch.setattr(InvariantQuery, "sign", property(lambda q: (-1) ** (q.parity + 1)))
+    failed = {c.name: (c.lhs, c.rhs) for c in run_suite("parity").failures}
+    assert failed == {"parity/quintic_lee_parker[h=6]": ("1", "-1")}
