@@ -180,10 +180,7 @@ def _render_report(report, fmt: str) -> None:
         payload = {
             "suite": report.suite,
             "passed": report.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "lhs": c.lhs, "rhs": c.rhs}
-                for c in report.checks
-            ],
+            "checks": [c._asdict() for c in report.checks],
             "coverage": {m: sorted(ops) for m, ops in sorted(report.coverage.items())},
         }
         print(json.dumps(payload))
@@ -191,8 +188,7 @@ def _render_report(report, fmt: str) -> None:
     if fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["name", "passed", "lhs", "rhs"])
-        for c in report.checks:
-            writer.writerow([c.name, c.passed, c.lhs, c.rhs])
+        writer.writerows(report.checks)
         return
     for c in report.checks:
         if c.passed:

@@ -7,13 +7,13 @@ anywhere downstream) rounds.
 The operations the verify suites must exercise are marked with :func:`op`;
 :func:`recording_ops` measures which of them actually run.
 
-The library's records (:class:`Partition` here, and the results and queries
-of the other modules) are `collections.namedtuple` subclasses with
-``__slots__ = ()``.  The standard library's frozen-record decorator would
-import `inspect`, which costs more start-up than everything a ``table`` or
-``invariant`` process computes for a small query.  A record is a tuple: it
-equals the plain tuple of its fields, iterates over them, and is updated
-with ``_replace``.  A record that checks its fields does so in ``__new__``,
+The package's records (:class:`Partition` here, the results and queries of
+the other modules, and the checks and reports of `verify`) are
+`collections.namedtuple` types with ``__slots__ = ()``.  The standard
+library's frozen-record decorator would import `inspect`, which costs more
+start-up than everything a ``table`` or ``invariant`` process computes for
+a small query.  A record is a tuple: it equals the plain tuple of its
+fields, iterates over them, and is updated with ``_replace``.  A record that checks its fields does so in ``__new__``,
 and its ``_make`` goes through ``__new__``, so ``_replace`` checks them too.
 """
 

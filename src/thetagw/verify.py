@@ -1,15 +1,18 @@
 """Verification suites: every identity the library asserts, run as exact
 checks with a uniform pass/fail report.
 
-Suites are generator functions that yield :class:`Check`s, and a suite's
-parameters, with their defaults, are the sweep bounds it takes; the CLI
-renders the checks and turns failures into exit codes.  Each identity is
-one check, whatever the bounds: a single typed-in value is compared on its
-own, and a sweep is one check over all of its cases.  A sweep passes when
-every case agrees and then reads "<n> cases equal"; on failure its lhs reads
-"<k> of <n> cases differ, first at <case>: <its lhs>" and its rhs is that
-case's rhs.  Only the first failing case is kept and formatted, so a sweep
-takes memory independent of its case count, and a sweep with no case fails.
+Suites are generator functions that yield :class:`Check`s.  A suite's
+keyword-only parameters, with their defaults, are the sweep bounds it takes;
+they are read once, when this module is imported.  The CLI renders the
+checks and turns failures into exit codes.  Each identity is one check,
+whatever the bounds: a single typed-in value is compared on its own, and a
+sweep is one check over all of its cases.  A sweep passes when every case
+agrees and then reads "<n> cases equal"; on failure its lhs reads "<k> of <n>
+cases differ, first at <case>: <its lhs>" and its rhs is that case's rhs.
+Only the first failing case is kept and formatted, so a sweep takes memory
+independent of its case count, and a sweep with no case fails.  A sweep that
+raises fails on its own, with lhs "<ExcType>: <message> after <n> cases",
+and the rest of its suite still runs.
 Coverage is measured, not declared: :func:`run_suite` records which
 operations registered with :func:`thetagw.core.op` ran while the suites
 did, and the combined run fails unless every registered operation ran.
@@ -17,12 +20,11 @@ did, and the combined run fails unless every registered operation ran.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
 
 from . import degeneration, hankel, invariants, spin, torsion
 from .core import (
@@ -41,19 +43,13 @@ from .series import TruncatedSeries, sqrt_coeff
 _NMAX = 4
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    lhs: str
-    rhs: str
+Check = namedtuple("Check", "name passed lhs rhs")
 
 
-@dataclass
-class Report:
-    suite: str
-    checks: list[Check]
-    coverage: dict[str, frozenset[str]] = field(default_factory=dict)
+class Report(namedtuple("Report", "suite checks coverage")):
+    """The checks of one run, and the registered ops it ran by module."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -86,19 +82,27 @@ def _eq(name: str, lhs, rhs) -> Check:
     return Check(name, lhs == rhs, _text(lhs), _text(rhs))
 
 
+def _raised(name: str, exc: Exception, where: str = "") -> Check:
+    return Check(name, False, f"{type(exc).__name__}: {exc}{where}", "no exception")
+
+
 def _cases(name: str, label: Callable[..., str], cases: Iterable[tuple]) -> Check:
     """One check over many cases, each a (key, lhs, rhs) triple; it passes
-    when every lhs equals its rhs, and fails when there is no case.  Only the
-    first failing case is kept: its key is labelled, as ``label(*key)``, and
-    its two values are formatted."""
+    when every lhs equals its rhs, and fails when there is no case or when
+    producing or comparing a case raises.  Only the first failing case is
+    kept: its key is labelled, as ``label(*key)``, and its two values are
+    formatted."""
     count = wrong = 0
     first = None
-    for key, lhs, rhs in cases:
-        count += 1
-        if lhs != rhs:
-            wrong += 1
-            if wrong == 1:
-                first = key, lhs, rhs
+    try:
+        for key, lhs, rhs in cases:
+            if lhs != rhs:
+                wrong += 1
+                if wrong == 1:
+                    first = key, lhs, rhs
+            count += 1
+    except Exception as exc:
+        return _raised(name, exc, f" after {count} cases")
     if not count:
         return Check(name, False, "no cases", "at least one case")
     if wrong:
@@ -141,7 +145,7 @@ def _beta_weight(a: int) -> Fraction:
     return beta / math.prod(range(1, a + 1))
 
 
-def suite_parity(hmax: int = 12) -> Iterator[Check]:
+def suite_parity(*, hmax: int = 12) -> Iterator[Check]:
     top = max(hmax, 2)  # the splits start at h = 2
     census = [spin.parity_census(h) for h in range(top + 1)]
 
@@ -181,7 +185,7 @@ def suite_parity(hmax: int = 12) -> Iterator[Check]:
     )
 
 
-def suite_etale(hmax: int = 12) -> Iterator[Check]:
+def suite_etale(*, hmax: int = 12) -> Iterator[Check]:
     def label(h, parity):
         return f"h={h},parity={parity}"
 
@@ -218,7 +222,7 @@ def _branch_residual(k: int) -> TruncatedSeries:
     return f * f - TruncatedSeries((1, -1), order) * g * g
 
 
-def suite_hankel(kmax: int = 8) -> Iterator[Check]:
+def suite_hankel(*, kmax: int = 8) -> Iterator[Check]:
     def determinants():
         for k, shift in itertools.product(range(1, kmax + 1), (1, 2)):
             det = hankel.hankel_det(k, shift)
@@ -307,7 +311,7 @@ def _kernel_case(parity: int, alphas: tuple[int, ...]) -> tuple:
     return (parity, alphas), kernel, (deg1, deg2)
 
 
-def suite_degeneration(hmax: int = 10, alpha_budget: int = 6) -> Iterator[Check]:
+def suite_degeneration(*, hmax: int = 10, alpha_budget: int = 6) -> Iterator[Check]:
     yield _eq(
         "degeneration/bubble_tau1_pair_vs_table",
         degeneration.bubble_channel_11((1,)),
@@ -411,7 +415,7 @@ def _cone_sums(h: int) -> list[int]:
     return sums
 
 
-def suite_torsion(hmax: int = 50) -> Iterator[Check]:
+def suite_torsion(*, hmax: int = 50) -> Iterator[Check]:
     hmax = max(hmax, 2)  # the h >= 2 sweeps need h = 2 in range
     yield _eq("torsion/ledger[h=2]", (torsion.build_ledger(2).a, torsion.build_ledger(2).b), ((1,), (-1,)))
     yield _eq("torsion/ledger[h=3]", (torsion.build_ledger(3).a, torsion.build_ledger(3).b), ((1, 2), (-1, -2)))
@@ -489,59 +493,49 @@ def suite_torsion(hmax: int = 50) -> Iterator[Check]:
 
 # every suite, in the order "all" runs them, by the name the CLI offers
 _SUITE_FUNCS = {name: globals()[f"suite_{name}"] for name in SUITE_NAMES if name != "all"}
+# the bounds each suite takes, read here once: a traced run may rebind the
+# suite table with wrappers that keep no keyword defaults
+_BOUNDS = {name: frozenset(func.__kwdefaults__) for name, func in _SUITE_FUNCS.items()}
+_BOUNDS["all"] = frozenset().union(*_BOUNDS.values())
 
 
 def suite_bounds(suite: str) -> frozenset[str]:
-    """Names of the sweep bounds ``suite`` takes, read from its parameters;
-    for "all", every bound some suite takes."""
-    funcs = _SUITE_FUNCS.values() if suite == "all" else [_SUITE_FUNCS[suite]]
-    return frozenset(key for func in funcs for key in inspect.signature(func).parameters)
+    """Names of the sweep bounds ``suite`` takes, its keyword-only
+    parameters; for "all", every bound some suite takes."""
+    return _BOUNDS[suite]
 
 
-def run_suite(
-    suite: str,
-    hmax: int | None = None,
-    kmax: int | None = None,
-    alpha_budget: int | None = None,
-) -> Report:
-    """Run one suite (or all of them) over the given sweep bounds; a bound
-    left as None takes the suite's own default.
+def run_suite(suite: str, **bounds: int | None) -> Report:
+    """Run one suite (or all of them) over the given sweep bounds.  Each
+    suite gets the bounds it takes, and a bound left as None takes the
+    suite's own default; a bound that no suite takes is a ValueError.
 
-    A suite that raises keeps the checks it made before the exception and
-    gains one failing ``<suite>/raised`` check; the remaining suites still
-    run.  Coverage is the set of registered ops that ran.
+    A sweep that raises is one failing check (see :func:`_cases`).  A suite
+    that raises outside its sweeps, as when it builds a shared table, keeps
+    the checks it made before the exception and gains one failing
+    ``<suite>/raised`` check; the remaining suites still run.  Coverage is
+    the set of registered ops that ran.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
-    given = {"hmax": hmax, "kmax": kmax, "alpha_budget": alpha_budget}
-    names = [s for s in SUITE_NAMES if s != "all"] if suite == "all" else [suite]
+    unknown = bounds.keys() - _BOUNDS["all"]
+    if unknown:
+        raise ValueError(f"no suite takes the bound {', '.join(sorted(unknown))}")
+    names = list(_SUITE_FUNCS) if suite == "all" else [suite]
     checks: list[Check] = []
     with recording_ops() as exercised:
         for name in names:
-            bounds = {key: given[key] for key in suite_bounds(name) if given[key] is not None}
+            given = {k: v for k, v in bounds.items() if k in _BOUNDS[name] and v is not None}
             try:
-                for check in _SUITE_FUNCS[name](**bounds):
-                    checks.append(check)
+                checks.extend(_SUITE_FUNCS[name](**given))
             except Exception as exc:
-                checks.append(
-                    Check(f"{name}/raised", False, f"{type(exc).__name__}: {exc}", "no exception")
-                )
+                checks.append(_raised(f"{name}/raised", exc))
     if suite == "all":
-        missing = sorted(OPS - exercised)
-        checks.append(
-            Check(
-                "coverage/all-operations-exercised",
-                not missing,
-                "missing: " + ", ".join(missing) if missing else "complete",
-                "complete",
-            )
-        )
+        missing = ", ".join(sorted(OPS - exercised))
+        lhs = f"missing: {missing}" if missing else "complete"
+        checks.append(Check("coverage/all-operations-exercised", not missing, lhs, "complete"))
     coverage: dict[str, set[str]] = {}
     for name in exercised:
         module, _, func_name = name.partition(".")
         coverage.setdefault(module, set()).add(func_name)
-    return Report(
-        suite=suite,
-        checks=checks,
-        coverage={m: frozenset(ops) for m, ops in coverage.items()},
-    )
+    return Report(suite, checks, {m: frozenset(ops) for m, ops in coverage.items()})

@@ -5,12 +5,13 @@ import itertools
 import json
 import math
 import sys
+import types
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
-from thetagw import verify
+from thetagw import spin, verify
 from thetagw.cli import MAX_EXPONENT, MAX_GENUS, main
 from thetagw.core import OPS, descendant_multisets, required_chi
 from thetagw.invariants import InvariantQuery, degree2, evaluate
@@ -371,6 +372,15 @@ def test_coverage_fails_when_a_suite_stops_calling_an_op(monkeypatch):
     assert not any(c.name.startswith("parity/") for c in report.checks)
 
 
+def _check_names(text: str, skipped: tuple[str, ...] = ()) -> list[str]:
+    """The names of the checks of a text report, in order, but those that
+    start with a ``skipped`` prefix."""
+    return [
+        line.split(" ")[1] for line in text.splitlines()
+        if line.startswith(("PASS ", "FAIL ")) and not line.split(" ")[1].startswith(skipped)
+    ]
+
+
 def test_suite_that_raises_does_not_abort_the_report(capsys, monkeypatch):
     bounds = ("--hmax", "3", "--kmax", "2", "--alpha-budget", "2")
     _, clean, _ = run_cli(capsys, "verify", "--suite", "all", *bounds)
@@ -382,13 +392,41 @@ def test_suite_that_raises_does_not_abort_the_report(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--suite", "all", *bounds)
     assert code == 1
     assert "Traceback" not in out + err
+    lines = out.splitlines()
     assert (
-        "FAIL hankel/raised lhs=ArithmeticError: determinant went astray "
-        "rhs=no exception"
-    ) in out.splitlines()
-    other_suites = ("parity/", "etale/", "degeneration/", "torsion/")
-    kept = [line for line in clean.splitlines() if line.split(" ")[-1].startswith(other_suites)]
-    assert kept and set(kept) <= set(out.splitlines())
+        "FAIL hankel/det_closed_form[k<=2] lhs=ArithmeticError: determinant went astray "
+        "after 0 cases rhs=no exception"
+    ) in lines
+    # the later hankel checks still run and pass, and no check goes missing
+    first, *later = [line for line in clean.splitlines() if line.startswith("PASS hankel/")]
+    assert first == "PASS hankel/det_closed_form[k<=2]"
+    assert len(later) >= 5 and set(later) <= set(lines)
+    assert _check_names(out) == _check_names(clean)
+
+
+def test_a_suite_that_raises_outside_its_sweeps_fails_alone(capsys, monkeypatch):
+    bounds = ("--hmax", "3", "--kmax", "2", "--alpha-budget", "2")
+    _, clean, _ = run_cli(capsys, "verify", "--suite", "all", *bounds)
+
+    def broken(h):
+        raise ArithmeticError("census went astray")
+
+    # the census as verify calls it: suite_parity builds its census table
+    # before its first sweep, and torsion/etale_total reads it inside one
+    census_raises = types.SimpleNamespace(**{**vars(spin), "parity_census": broken})
+    monkeypatch.setattr(verify, "spin", census_raises)
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", *bounds)
+    assert code == 1
+    assert "Traceback" not in out + err
+    lines = out.splitlines()
+    assert _check_names(out, ("parity/",)) == _check_names(clean, ("parity/",))
+    assert [line for line in lines if "parity/" in line] == [
+        "FAIL parity/raised lhs=ArithmeticError: census went astray rhs=no exception"
+    ]
+    assert (
+        "FAIL torsion/etale_total[h<=3] lhs=ArithmeticError: census went astray "
+        "after 0 cases rhs=no exception"
+    ) in lines
 
 
 def test_invariant_prints_values_past_the_int_str_digit_limit(capsys):

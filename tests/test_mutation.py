@@ -1,7 +1,9 @@
 """Mutants that a restating or an aggregate check would let through: a
 perturbed return value, patched into every module that binds the op, must
-turn some check of each suite that runs the op into a FAIL."""
+turn some check of each suite that runs the op into a FAIL; and so must a
+coherent edit of each unregistered kernel, in the suite that checks it."""
 
+import math
 import sys
 from fractions import Fraction
 
@@ -76,25 +78,26 @@ MUTANTS = {
 }
 
 
+def _patch_everywhere(monkeypatch, name: str, replace) -> None:
+    """Bind ``replace(original)`` in place of the function ``name``
+    ("module.func") in every thetagw module that binds the original."""
+    module_name, _, func_name = name.partition(".")
+    original = getattr(sys.modules[f"thetagw.{module_name}"], func_name)
+    replacement = replace(original)
+    for module_key, module in list(sys.modules.items()):
+        if module_key.partition(".")[0] == "thetagw" and vars(module).get(func_name) is original:
+            monkeypatch.setattr(module, func_name, replacement)
+
+
 @pytest.mark.parametrize("op, perturb", MUTANTS.items(), ids=MUTANTS)
 def test_perturbed_op_fails_every_suite_that_runs_it(monkeypatch, op, perturb):
     module_name, _, func_name = op.partition(".")
-    original = getattr(sys.modules[f"thetagw.{module_name}"], func_name)
-
-    def mutant(*args, **kwargs):
-        return perturb(original(*args, **kwargs))
-
-    bound = [
-        module
-        for name, module in list(sys.modules.items())
-        if name.partition(".")[0] == "thetagw" and vars(module).get(func_name) is original
-    ]
-    for module in bound:
-        monkeypatch.setattr(module, func_name, mutant)
+    _patch_everywhere(
+        monkeypatch, op, lambda original: lambda *args, **kwargs: perturb(original(*args, **kwargs))
+    )
     ran = []
     for suite in (s for s in verify.SUITE_NAMES if s != "all"):
-        bounds = {key: BOUNDS[key] for key in verify.suite_bounds(suite)}
-        report = verify.run_suite(suite, **bounds)
+        report = verify.run_suite(suite, **BOUNDS)
         if func_name in report.coverage.get(module_name, ()):
             ran.append(suite)
             assert report.failures, f"{suite} passes with {op} perturbed"
@@ -103,3 +106,48 @@ def test_perturbed_op_fails_every_suite_that_runs_it(monkeypatch, op, perturb):
 
 def test_every_registered_op_has_a_mutant():
     assert set(MUTANTS) == OPS
+
+
+# Coherent edits of the unregistered kernels: each edited kernel replaces the
+# original in every module that binds it, oracles in verify included, and
+# must still fail some check of the family named, run at the bounds given.
+KERNEL_EDITS = {
+    # the denominator (2a)! for (2a+1)!
+    "invariants._weight": (
+        lambda weight: lambda a: (math.factorial(a), math.factorial(2 * a)),
+        "degeneration/", BOUNDS,
+    ),
+    # the sign (-1)^a of each insertion dropped
+    "invariants._kernel": (
+        lambda kernel: lambda sign, alphas, two_power: kernel(
+            sign * (-1) ** sum(alphas), alphas, two_power
+        ),
+        "degeneration/", BOUNDS,
+    ),
+    # doubled from j = 9 on, past every entry that kmax = 2 reaches, so the
+    # edit fails only at hankel's default kmax
+    "series.sqrt_coeff": (
+        lambda coeff: lambda j: coeff(j)._replace(coeff=2 * coeff(j).coeff) if j >= 9 else coeff(j),
+        "hankel/", {},
+    ),
+    "core.binomial": (
+        lambda binomial: lambda n, k: binomial(n, k) + (k == 3), "hankel/", BOUNDS,
+    ),
+    "torsion._a": (
+        lambda a: lambda j: a(j) + (j >= 40), "torsion/a_closed_forms", BOUNDS,
+    ),
+    "torsion._b": (
+        lambda b: lambda j: b(j) - (j == 7), "torsion/b_two_routes", BOUNDS,
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel, edit, family, bounds", [
+    (kernel, *entry) for kernel, entry in KERNEL_EDITS.items()
+], ids=KERNEL_EDITS)
+def test_edited_kernel_fails_verify(monkeypatch, kernel, edit, family, bounds):
+    suite = family.partition("/")[0]
+    assert verify.run_suite(suite, **bounds).passed
+    _patch_everywhere(monkeypatch, kernel, edit)
+    failures = verify.run_suite(suite, **bounds).failures
+    assert any(c.name.startswith(family) for c in failures), f"{family} passes with {kernel} edited"

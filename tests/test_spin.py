@@ -52,6 +52,14 @@ def test_census_splits_check_catches_a_wrong_census(monkeypatch):
     assert splits.rhs == "(8256, 8128)"
 
 
+def test_census_gap_check_alone_catches_a_wrong_gap(monkeypatch):
+    # the counts stay right, so every other parity check still passes
+    gap = ParityCensus.gap
+    monkeypatch.setattr(ParityCensus, "gap", property(lambda c: gap.fget(c) + (c.h == 5)))
+    failed = {c.name: (c.lhs, c.rhs) for c in run_suite("parity").failures}
+    assert failed == {"parity/census_gap[h<=12]": ("1 of 13 cases differ, first at h=5: 33", "32")}
+
+
 def test_census_rejects_negative_genus():
     with pytest.raises(ValueError):
         parity_census(-1)

@@ -1,5 +1,6 @@
 """What a ``table`` or ``invariant`` process loads: the evaluators, and neither
-the verification suites nor `dataclasses` and the `inspect` it pulls in."""
+the verification suites nor `dataclasses` and the `inspect` it pulls in; and
+that a ``verify`` process loads neither of those two either."""
 
 import importlib
 import os
@@ -51,6 +52,12 @@ def test_evaluating_loads_only_the_evaluators(args):
     # run with -m, the cli module is __main__ rather than an imported thetagw.cli
     loaded = {m for m in imported if m.partition(".")[0] == "thetagw"} | {"thetagw.cli"}
     assert loaded == EVALUATORS
+    assert not {"dataclasses", "inspect"} & imported
+
+
+def test_verifying_loads_neither_dataclasses_nor_inspect():
+    imported = _imported("-m", "thetagw.cli", "verify", "--suite", "parity", "--hmax", "2")
+    assert "thetagw.verify" in imported
     assert not {"dataclasses", "inspect"} & imported
 
 

@@ -1,6 +1,6 @@
 """The verify report: one check per identity, whatever the sweep bounds."""
 
-import inspect
+import functools
 import json
 import re
 from fractions import Fraction
@@ -31,16 +31,34 @@ def _case_counts(report) -> dict[str, int]:
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_report_size_does_not_depend_on_the_bounds(suite):
-    defaults = {
-        key: param.default
-        for key, param in inspect.signature(verify._SUITE_FUNCS[suite]).parameters.items()
-    }
+    defaults = verify._SUITE_FUNCS[suite].__kwdefaults__
     larger = {key: value + 2 for key, value in defaults.items()}
     reports = [run_suite(suite, **bounds) for bounds in (defaults, larger)]
     assert len(reports[0].checks) == len(reports[1].checks)
     counts = [_case_counts(report) for report in reports]
     assert counts[0].keys() == counts[1].keys()
     assert all(n >= 1 for n in counts[0].values())
+
+
+def test_a_bound_no_suite_takes_is_a_value_error():
+    with pytest.raises(ValueError, match="hmaxx"):
+        run_suite("parity", hmaxx=3)
+
+
+def test_a_bound_of_none_is_the_suite_default():
+    assert run_suite("all", hmax=None) == run_suite("all")
+
+
+def test_bounds_are_read_once_from_the_keyword_defaults(monkeypatch):
+    # a tracer rebinds the suite table with wrappers that keep no keyword
+    # defaults; the bounds were read before, so runs still get them
+    parity = verify._SUITE_FUNCS["parity"]
+    traced = functools.wraps(parity)(lambda **bounds: parity(**bounds))
+    monkeypatch.setitem(verify._SUITE_FUNCS, "parity", traced)
+    assert traced.__kwdefaults__ is None
+    assert verify.suite_bounds("parity") == {"hmax"}
+    checks = run_suite("parity", hmax=2).checks
+    assert "parity/census_gap[h<=2]" in [c.name for c in checks]
 
 
 @pytest.mark.parametrize("hmax, kmax, alpha_budget", [(12, 8, 6), (17, 10, 5)])
