@@ -130,9 +130,6 @@ class Partition(namedtuple("Partition", "parts")):
             math.factorial(m) for m in Counter(self.parts).values()
         )
 
-    def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
-
 
 def partitions_of(d: int) -> list[Partition]:
     """All partitions of ``d`` in lexicographic order of their part tuples."""
@@ -155,7 +152,16 @@ def partitions_of(d: int) -> list[Partition]:
 
 def required_chi(d: int, h: int, alphas) -> int:
     """Euler characteristic forced by degree d, base genus h and descendant
-    exponents: chi = -(d*(h-1) + sum(alphas))."""
+    exponents: chi = -(d*(h-1) + sum(alphas)).
+
+    This is chi(O) = 1 - g of a genus-g domain, from the dimension count.
+    On Y = Tot(L), c_1(T_Y).[C] = (2 - 2h) + (h - 1) = 1 - h, so
+    vdim M_{g,n}(Y, d[C]) = g - 1 + d(1 - h) + n.  Each tau_a inserts the
+    pullback to Y of the point class of C, of degree a + 1, and the
+    insertions cut the dimension to zero when 1 - g = -(d(h-1) + sum a).
+    (With the point class of Y, of degree a + 2, it would read
+    -(d(h-1) + sum a + n).)  PAPER.md holds only the paper's abstract, so
+    which convention the paper states is an open question."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     if h < 0:

@@ -9,12 +9,19 @@ as a weighted sum over the partitions of 2:
 
 The (1,1) bubble factor is built from degree-one blocks by summing over
 all assignments of the insertions to the two map components
-(:func:`bubble_channel_11`).  The full-contact (2) channel is not
-computed: no route to it that avoids back-solving it from the genus-0
-base case is implemented, and a back-solved channel makes the sum above
-equal (spin factor) * (base value) for every bubble.  So the channel
-split is not verified.  :func:`gluing_consistent` checks only what the
-sum reduces to, the genus scaling
+(:func:`bubble_channel_11`).  Each of the 2^n assignments gives the same
+product prod_i w(a_i) (-2)^{-a_i}, with w(a) = a!/(2a+1)!, since every
+insertion lands on exactly one component; so the sum is
+2^n * degree1(h = 0, even parity).  The enumeration stays in the library
+only until the bench self-test (bench/test_bench.py) stops pinning the
+2^n * n block calls it makes.
+
+The full-contact (2) channel is not computed: no route to it that avoids
+back-solving it from the genus-0 base case is implemented, and a
+back-solved channel makes the sum above equal (spin factor) * (base
+value) for every bubble.  So the channel split is not verified.
+:func:`gluing_consistent` checks only what the sum reduces to, the genus
+scaling
 
     degree2(h, parity, alphas) == spin_11(h, parity) * degree2_base(alphas)
 

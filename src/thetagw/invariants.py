@@ -11,10 +11,10 @@ Both are s * (-1)^{sum a} * 2^e * prod_i a_i! / prod_i (2a_i+1)! with an
 integer e (-sum a in degree 1, h+n-1+sum a in degree 2), so
 :func:`degree1`, :func:`degree2` and :func:`degree2_base` share one kernel
 that multiplies the factorials, the sign and the power of 2 in integers
-and builds a single `Fraction`.  The per-insertion `Fraction` blocks
-:func:`descendant_block` and ``_descendant_block_deg2`` are the longer
-route; the library keeps them as oracles for verify and the tests (and
-the bubble's assignment sum).
+and builds a single `Fraction`.  The per-insertion `Fraction` block
+:func:`descendant_block` is the longer route: the bubble's assignment sum
+multiplies it, and verify and the tests hold it, with its degree-2 twin
+in verify, as the oracle of the kernel.
 
 Degree 1 does not depend on the genus and degree 2 depends on it only
 through 2^h, so :func:`value_table` evaluates each insertion multiset once,
@@ -67,12 +67,6 @@ def descendant_block(a: int) -> Fraction:
     if a < 0:
         raise ValueError("descendant exponent must be >= 0")
     return Fraction(math.factorial(a), math.factorial(2 * a + 1)) * Fraction(-2) ** (-a)
-
-
-def _descendant_block_deg2(a: int) -> Fraction:
-    if a < 0:
-        raise ValueError("descendant exponent must be >= 0")
-    return Fraction(math.factorial(a), math.factorial(2 * a + 1)) * Fraction(-2) ** a
 
 
 def _weight(a: int) -> tuple[int, int]:

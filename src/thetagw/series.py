@@ -36,23 +36,14 @@ class ZMonomial(namedtuple("ZMonomial", "coeff exp")):
     def _make(cls, fields):
         return cls(*fields)
 
-    def __str__(self) -> str:
-        if self.exp == 0:
-            return str(self.coeff)
-        if self.exp == 1:
-            return f"{self.coeff}*z"
-        return f"{self.coeff}*z^{self.exp}"
-
 
 class TruncatedSeries:
     """Dense univariate series modulo z^order, coefficients exact rationals."""
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs, order: int | None = None):
+    def __init__(self, coeffs, order: int):
         cs = [Fraction(c) for c in coeffs]
-        if order is None:
-            order = len(cs)
         if order < 1:
             raise ValueError("truncation order must be >= 1")
         if len(cs) < order:
@@ -76,9 +67,7 @@ class TruncatedSeries:
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries([-c for c in self.coeffs], self.order)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([c * other for c in self.coeffs], self.order)
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
         out = [Fraction(0)] * n
         for i in range(n):
@@ -90,8 +79,6 @@ class TruncatedSeries:
                 if b != 0:
                     out[i + j] += a * b
         return TruncatedSeries(out, n)
-
-    __rmul__ = __mul__
 
     # -- queries --------------------------------------------------------
 
@@ -107,9 +94,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs, self.order))
 
     def __repr__(self) -> str:
         terms = []

@@ -253,6 +253,13 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     assert "error" in json.loads(errtext)
 
+    code, _, errtext = run_cli(
+        capsys, "invariant", "--degree", "1", "--genus", "2", "--parity", "even",
+        "--alphas", "1,-1",
+    )
+    assert code == 2
+    assert json.loads(errtext) == {"error": "descendant exponents must be >= 0"}
+
 
 def test_verify_suite_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "parity", "--hmax", "6")

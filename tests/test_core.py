@@ -111,6 +111,10 @@ def test_required_chi():
     assert required_chi(2, 3, [1]) == -5
     for h in range(6):
         assert required_chi(2, h, []) == -2 * (h - 1)
+    with pytest.raises(ValueError):
+        required_chi(0, 1, ())
+    with pytest.raises(ValueError):
+        required_chi(1, -1, ())
 
 
 @given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12).filter(lambda d: d != 0))

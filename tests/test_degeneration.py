@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetagw import degeneration, invariants
+from thetagw import degeneration, invariants, verify
 from thetagw.core import descendant_multisets, recording_ops
 from thetagw.degeneration import bubble_channel_11, gluing_consistent
 from thetagw.verify import run_suite
@@ -79,7 +79,7 @@ def test_tripled_weights_past_tau1_fail_verify(monkeypatch):
     monkeypatch.setattr(invariants, "_weight", tripled_weight)
     for module, name in (
         (invariants, "descendant_block"),
-        (invariants, "_descendant_block_deg2"),
+        (verify, "_descendant_block_deg2"),
         (degeneration, "descendant_block"),
     ):
         kernel = getattr(module, name)

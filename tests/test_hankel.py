@@ -38,6 +38,8 @@ def test_bareiss_pivots_and_singular_matrices():
     assert _bareiss_det([[0, 1], [1, 0]]) == -1
     assert _bareiss_det([[1, 2], [2, 4]]) == 0
     assert _bareiss_det([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == 5 * (4 - 6)
+    # a zero column below the pivot: no row to swap in
+    assert _bareiss_det([[0, 1], [0, 2]]) == 0
 
 
 def test_hankel_det_validation():
@@ -132,6 +134,9 @@ def test_branch_identity_validates_input():
         branch_identity_holds(1, 0)
     with pytest.raises(ValueError):
         max_solvable_order(-1)
+    for j in (0, 3):
+        with pytest.raises(ValueError):
+            solve_branch_system(2).b(j)
 
 
 def test_boundary_is_returned_without_the_residual():
@@ -153,10 +158,23 @@ def test_boundary_past_2k_plus_1_fails_verify(monkeypatch):
 
     monkeypatch.setattr(hankel, "branch_identity_holds", late_boundary)
     failed = {c.name: c.lhs for c in run_suite("hankel", kmax=3).failures}
-    # one decision per flag level k = 0..3 is wrong: n = 2k + 2
+    # one decision per flag level k = 0..5 is wrong: n = 2k + 2
     assert failed == {
-        "hankel/insolvable_past_boundary[k<=3]": "3 of 3 cases differ, first at k=1: True",
-        "hankel/decisions_vs_residual[k<=3]": "4 of 24 cases differ, first at k=0,n=2: True",
+        "hankel/decisions_vs_residual[k<=5]": "6 of 48 cases differ, first at k=0,n=2: True",
+    }
+
+
+def test_boundary_wrong_only_past_kmax_fails_verify(monkeypatch):
+    # the decisions are swept to k = 5 whatever kmax is
+    holds = hankel.branch_identity_holds
+
+    def late_from_k4(k, n):
+        return n <= 2 * k + 2 if k >= 4 else holds(k, n)
+
+    monkeypatch.setattr(hankel, "branch_identity_holds", late_from_k4)
+    failed = {c.name: c.lhs for c in run_suite("hankel", kmax=2).failures}
+    assert failed == {
+        "hankel/decisions_vs_residual[k<=5]": "2 of 48 cases differ, first at k=4,n=10: True",
     }
 
 

@@ -7,7 +7,6 @@ import pytest
 from thetagw.core import descendant_multisets
 from thetagw.invariants import (
     InvariantQuery,
-    _descendant_block_deg2,
     degree1,
     degree2,
     degree2_base,
@@ -18,6 +17,7 @@ from thetagw.invariants import (
     value_table,
 )
 from thetagw.spin import signed_double_cover_sum
+from thetagw.verify import _descendant_block_deg2
 
 
 def test_query_validation():
@@ -90,6 +90,8 @@ def test_integer_kernel_matches_the_fraction_blocks():
         )
     with pytest.raises(ValueError):
         degree2_base((1, -1))
+    with pytest.raises(ValueError):
+        descendant_block(-1)
 
 
 def test_value_table_rows_in_genus_major_order():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from thetagw.series import TruncatedSeries, ZMonomial, sqrt_coeff
 
 
-def series_of(*coeffs, order=None):
+def series_of(*coeffs, order):
     return TruncatedSeries(coeffs, order)
 
 
@@ -15,6 +15,8 @@ def test_mul_basic():
     a = series_of(1, 1, order=3)   # 1 + z
     b = series_of(1, -1, order=3)  # 1 - z
     assert a * b == series_of(1, 0, -1, order=3)
+    # a non-series compares unequal instead of raising
+    assert a != 1
 
 
 def test_mul_order_additivity():
@@ -42,6 +44,8 @@ def test_truncation_is_min_of_operand_orders():
     assert (a + b).order == 2
     assert (a * b).order == 2
     assert (a - b).order == 2
+    with pytest.raises(ValueError):
+        TruncatedSeries([1], 0)
 
 
 def test_z_order_sentinel():
@@ -61,6 +65,8 @@ def test_sqrt_coeff_examples():
     assert sqrt_coeff(0) == ZMonomial(Fraction(1), 0)
     assert sqrt_coeff(1) == ZMonomial(Fraction(-1, 2), 1)
     assert sqrt_coeff(2) == ZMonomial(Fraction(-1, 8), 2)
+    with pytest.raises(ValueError):
+        sqrt_coeff(-1)
 
 
 def test_sqrt_coeff_matches_generalized_binomial():

@@ -1,7 +1,9 @@
 """What a ``table`` or ``invariant`` process loads: the evaluators, and neither
 the verification suites nor `dataclasses` and the `inspect` it pulls in; and
-that a ``verify`` process loads neither of those two either."""
+that a ``verify`` process loads neither of those two either.  Also that no
+module of the package reads another module's private names."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -72,6 +74,39 @@ def test_every_export_is_listed_and_is_its_module_attribute():
             # the map names the defining module, not one that re-binds the name
             assert getattr(obj, "__module__", module.__name__) in (module.__name__, "fractions")
     assert sorted(name for names in thetagw._EXPORTS.values() for name in names) == thetagw.__all__
+
+
+def _private_reads(tree: ast.Module, modules: set[str]) -> list[str]:
+    """``<module>._<name>`` reads of a sibling module in ``tree``, through an
+    attribute or through ``from .<module> import _<name>``."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    bound, reads = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name in modules:
+                    bound[alias.asname or alias.name] = alias.name
+                elif node.module in modules and private(alias.name):
+                    reads.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound and private(node.attr)):
+            reads.append(f"{bound[node.value.id]}.{node.attr}")
+    return reads
+
+
+def test_no_module_reads_another_modules_private_names():
+    paths = sorted((SRC / "thetagw").glob("*.py"))
+    modules = {p.stem for p in paths} - {"__init__"}
+    reads = {
+        p.name: _private_reads(ast.parse(p.read_text()), modules - {p.stem})
+        for p in paths
+    }
+    assert {name: r for name, r in reads.items() if r} == {}
+    tree = ast.parse("from . import core\nfrom .spin import _x\ncore._y(core.op)\n")
+    assert sorted(_private_reads(tree, {"core", "spin"})) == ["core._y", "spin._x"]
 
 
 def test_an_unknown_name_is_an_attribute_error():
