@@ -78,11 +78,6 @@ def _to_float(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-# Rendered lines are written in chunks of about this many characters, so
-# output streams and the pending text stays small however long a value is.
-_CHUNK_CHARS = 1 << 16
-
-
 def _csv_fields(*fields) -> str:
     """The fields as one csv record, without its line terminator."""
     buf = io.StringIO()
@@ -107,15 +102,20 @@ def _fixed_fields(fmt: str, parity: str, alphas: tuple[int, ...]) -> str:
     return f" parity={parity} alphas={joined} chi="
 
 
-def _write_rows(degree: int, parity: str, rows, fmt: str, with_float: bool) -> None:
-    """Print each (h, alphas, num, den) of the iterable as it arrives, the
-    value num/den in lowest terms with den > 0.
+def _write_rows(degree: int, parity: str, blocks, fmt: str, with_float: bool) -> None:
+    """Print each (h, rows) block of the iterable as it arrives, in one write
+    per genus; rows is a tuple of (alphas, num, den), the value num/den in
+    lowest terms with den > 0.
 
-    The fields fixed by the multiset, and chi0 = chi at h = 0, are encoded
-    once per multiset; the value text, with its optional float, only when
-    the multiset's (num, den) differs from its previous row, so a degree-1
-    table formats each value once.  Each row is then one f-string of h,
-    chi0 - degree*h and the value text."""
+    A row's cells are the fields fixed by its multiset, chi0 = chi at h = 0,
+    and the value text with its optional float.  They are rebuilt only when
+    rows is not the previous block, so a degree-1 table, which yields one
+    rows tuple for every genus, builds them once.  Value texts are kept by
+    (num, den) for the current and the previous genus: a degree-2 value
+    recurs one genus later, at the multiset with one 0 less, so each text is
+    formatted as often as a whole-table cache would, while memory stays at
+    one block.  Each genus is then one join of f-strings of h, the fixed
+    fields, chi0 - degree*h and the value text."""
     if fmt == "json":
         lead = f'{{"degree": {degree}, "h": '
         value_open, value_close, end = ', "value": "', '"', "}\n"
@@ -131,28 +131,30 @@ def _write_rows(degree: int, parity: str, rows, fmt: str, with_float: bool) -> N
         lead, value_open, value_close, end = f"degree={degree} h=", " value=", "", "\n"
         float_open, float_text = " value_float=", repr
 
-    # per multiset: [fixed fields, chi0, last num, last den, its value text]
-    seen: dict[tuple[int, ...], list] = {}
-    lines: list[str] = []
-    size = 0
-    for h, alphas, num, den in rows:
-        entry = seen.get(alphas)
-        if entry is None:
-            entry = seen[alphas] = [
-                _fixed_fields(fmt, parity, alphas), required_chi(degree, 0, alphas), None, None, ""
-            ]
-        if entry[2] != num or entry[3] != den:
-            exact = f"{num}/{den}" if den != 1 else str(num)
-            tail = f"{float_open}{float_text(_to_float(num, den))}" if with_float else ""
-            entry[2:] = num, den, f"{value_open}{exact}{value_close}{tail}{end}"
-        line = f"{lead}{h}{entry[0]}{entry[1] - degree * h}{entry[4]}"
-        lines.append(line)
-        size += len(line)
-        if size >= _CHUNK_CHARS:
-            sys.stdout.write("".join(lines))
-            lines.clear()
-            size = 0
-    sys.stdout.write("".join(lines))
+    heads: dict[tuple[int, ...], tuple[str, int]] = {}  # alphas -> fixed fields, chi0
+    texts: dict[tuple[int, int], str] = {}  # (num, den) -> value text, this genus
+    rows = cells = None
+    for h, block in blocks:
+        if block is not rows:
+            rows, previous, texts, cells = block, texts, {}, []
+            for alphas, num, den in rows:
+                head = heads.get(alphas)
+                if head is None:
+                    head = heads[alphas] = (
+                        _fixed_fields(fmt, parity, alphas), required_chi(degree, 0, alphas)
+                    )
+                key = num, den
+                text = previous.get(key) or texts.get(key)
+                if text is None:
+                    exact = f"{num}/{den}" if den != 1 else str(num)
+                    tail = f"{float_open}{float_text(_to_float(num, den))}" if with_float else ""
+                    text = f"{value_open}{exact}{value_close}{tail}{end}"
+                texts[key] = text
+                cells.append((*head, text))
+        start, shift = f"{lead}{h}", degree * h
+        sys.stdout.write(
+            "".join([f"{start}{fixed}{chi0 - shift}{text}" for fixed, chi0, text in cells])
+        )
 
 
 def _cmd_invariant(args) -> int:
@@ -161,8 +163,8 @@ def _cmd_invariant(args) -> int:
     _require_genus_limit("genus", args.genus)
     alphas = _parse_alphas(args.alphas)
     value = evaluate(InvariantQuery(args.degree, args.genus, _PARITY[args.parity], alphas))
-    row = (args.genus, alphas, value.numerator, value.denominator)
-    _write_rows(args.degree, args.parity, [row], args.format, args.float)
+    block = (args.genus, ((alphas, value.numerator, value.denominator),))
+    _write_rows(args.degree, args.parity, [block], args.format, args.float)
     return 0
 
 
@@ -170,8 +172,8 @@ def _cmd_table(args) -> int:
     _require_positive("hmax", args.hmax)
     _require_genus_limit("hmax", args.hmax)
     _require_positive("alpha-budget", args.alpha_budget)
-    rows = value_table(args.degree, _PARITY[args.parity], args.hmax, args.alpha_budget)
-    _write_rows(args.degree, args.parity, rows, args.format, args.float)
+    blocks = value_table(args.degree, _PARITY[args.parity], args.hmax, args.alpha_budget)
+    _write_rows(args.degree, args.parity, blocks, args.format, args.float)
     return 0
 
 

@@ -18,8 +18,10 @@ in verify, as the oracle of the kernel.
 
 Degree 1 does not depend on the genus and degree 2 depends on it only
 through 2^h, so :func:`value_table` evaluates each insertion multiset once,
-at h = 0, and yields its rows as integer pairs (num, den) in lowest terms,
-doubling a degree-2 pair per genus in integers.
+at h = 0, and yields one block of rows per genus, each value an integer
+pair (num, den) in lowest terms.  A degree-1 table yields the same block
+object for every genus, and a degree-2 table doubles each pair per genus
+in integers.
 
 The degree-2 formula specializes at h = 0 to the rational base case
 (total space of O(-1) over the projective line); the degeneration module
@@ -154,28 +156,30 @@ def evaluate(q: InvariantQuery) -> Fraction:
 
 @op
 def value_table(d: int, parity: int, hmax: int, alpha_budget: int):
-    """Yield (h, alphas, num, den) for 0 <= h <= hmax and every multiset of
-    :func:`thetagw.core.descendant_multisets` (alpha_budget, alpha_budget),
-    genus-major, where num/den is the invariant in lowest terms, den > 0.
+    """Yield (h, rows) for h = 0, ..., hmax, where rows is a tuple of
+    (alphas, num, den), one for each multiset of
+    :func:`thetagw.core.descendant_multisets` (alpha_budget, alpha_budget)
+    in its order, and num/den is the invariant in lowest terms, den > 0.
 
     Each multiset is evaluated once, at h = 0: the degree-1 value does not
-    depend on h and the degree-2 value is 2^h times it, so a degree-2 pair
-    doubles per genus in integers (an even den gives up a factor of 2,
+    depend on h, so degree 1 yields the same rows tuple for every h, and the
+    degree-2 value is 2^h times it, so degree 2 yields a new tuple per genus,
+    each pair doubled in integers (an even den gives up a factor of 2,
     otherwise num is shifted left)."""
     if hmax < 0:
         raise ValueError("hmax must be >= 0")
-    base = []
+    rows = []
     for alphas in descendant_multisets(alpha_budget, alpha_budget):
         value = evaluate(InvariantQuery(d, 0, parity, alphas))
-        base.append((alphas, value.numerator, value.denominator))
+        rows.append((alphas, value.numerator, value.denominator))
+    rows = tuple(rows)
     for h in range(hmax + 1):
-        for alphas, num, den in base:
-            yield h, alphas, num, den
-        if d == 2:
-            base = [
+        yield h, rows
+        if d == 2 and h < hmax:
+            rows = tuple([
                 (alphas, num, den >> 1) if den & 1 == 0 else (alphas, num << 1, den)
-                for alphas, num, den in base
-            ]
+                for alphas, num, den in rows
+            ])
 
 
 class TwistedBreakdown(namedtuple("TwistedBreakdown", "h per_etale etale_count branched_part")):

@@ -35,6 +35,7 @@ from .core import (
     partitions_of,
     rational_str,
     recording_ops,
+    required_chi,
 )
 from .invariants import InvariantQuery
 from .series import TruncatedSeries, sqrt_coeff
@@ -206,6 +207,11 @@ def suite_etale(*, hmax: int = 12) -> Iterator[Check]:
          invariants.degree2(InvariantQuery(2, h, p, ())))
         for h, p in grid
     ))
+    # an etale double cover of a genus-h curve has genus 2h - 1 by
+    # Riemann-Hurwitz, 2g - 2 = 2(2h - 2), so chi(O) = 1 - g = 2(1 - h)
+    yield _cases(f"etale/double_cover_chi[h<={hmax}]", lambda h: f"h={h}", (
+        ((h,), required_chi(2, h, ()), 2 * (1 - h)) for h in range(hmax + 1)
+    ))
 
 
 def _branch_residual(k: int) -> TruncatedSeries:
@@ -289,7 +295,8 @@ def _table_cases(d: int, parity: int, hmax: int, alpha_budget: int) -> Iterator[
         return h, alphas, v.numerator, v.denominator
 
     expected = itertools.starmap(evaluated, itertools.product(range(hmax + 1), multisets))
-    rows = invariants.value_table(d, parity, hmax, alpha_budget)
+    blocks = invariants.value_table(d, parity, hmax, alpha_budget)
+    rows = ((h, *row) for h, block in blocks for row in block)
     # a missing or an extra row pairs with None, and is keyed by its other side
     for row, want in itertools.zip_longest(rows, expected):
         yield (d, parity, *(row or want)[:2]), row, want
@@ -309,6 +316,30 @@ def _kernel_case(parity: int, alphas: tuple[int, ...]) -> tuple:
         invariants.degree2(InvariantQuery(2, 0, parity, alphas)),
     )
     return (parity, alphas), kernel, (deg1, deg2)
+
+
+def _row_set_cases(alpha_budget: int) -> Iterator[tuple]:
+    """The multisets a table lists, from :func:`thetagw.core.descendant_multisets`,
+    paired by position with a route of their own: the weakly increasing
+    tuples of each length 0..alpha_budget in lexicographic order, which
+    `itertools.combinations_with_replacement` yields, filtered by sum."""
+    own = (
+        alphas
+        for n in range(alpha_budget + 1)
+        for alphas in itertools.combinations_with_replacement(range(alpha_budget + 1), n)
+        if sum(alphas) <= alpha_budget
+    )
+    listed = descendant_multisets(alpha_budget, alpha_budget)
+    for i, (row, want) in enumerate(itertools.zip_longest(listed, own)):
+        yield (i,), row, want
+
+
+def _chi_case(d: int, h: int, alphas: tuple[int, ...]) -> tuple:
+    """`required_chi` against 1 - g solved from the dimension count, as one
+    (key, lhs, rhs) case: vdim M_{g,n}(Y, d[C]) = g - 1 + d(1 - h) + n must
+    equal the total degree of the insertions, a + 1 for each tau_a."""
+    g = sum(a + 1 for a in alphas) + 1 - d * (1 - h) - len(alphas)
+    return (d, h, alphas), required_chi(d, h, alphas), 1 - g
 
 
 def suite_degeneration(*, hmax: int = 10, alpha_budget: int = 6) -> Iterator[Check]:
@@ -390,6 +421,15 @@ def suite_degeneration(*, hmax: int = 10, alpha_budget: int = 6) -> Iterator[Che
             _table_cases(d, parity, hmax, alpha_budget)
             for d, parity in itertools.product((1, 2), (0, 1))
         ),
+    )
+    # the own route draws C(2b+1, b) tuples to keep a few thousand: 0.06 s at
+    # b = 10, 1.4 s at 12, so the row set is checked up to 10
+    top = min(alpha_budget, 10)
+    yield _cases(f"degeneration/row_set[sum<={top}]", lambda i: f"row={i}", _row_set_cases(top))
+    yield _cases(
+        f"degeneration/chi_from_vdim[hmax={hmax},n<={_NMAX},sum<={alpha_budget}]",
+        lambda d, h, alphas: f"d={d},h={h},alphas={list(alphas)}",
+        itertools.starmap(_chi_case, itertools.product((1, 2), range(hmax + 1), multisets)),
     )
     weights = [_beta_weight(a) for a in range(2 * alpha_budget + 1)]
     yield _cases(

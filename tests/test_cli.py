@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 import types
 from contextlib import contextmanager
 from fractions import Fraction
@@ -201,11 +202,16 @@ TABLE_DIGESTS = {
         "f278e992716b42aca92196701f3708d2c9f775d8ae8b894e712c2884b41f2a01",
     ("2", "even", "60", "5", "json", False):
         "a1fb12e5f0affb6204cfe26ac90acbccca8937a26e00e2168790d8b23f22dbcc",
+    ("1", "even", "148", "8", "json", False):
+        "e41523f32aa50a175ee5c918926456dfb0f38c169bc1037033867ce46d7df96f",
+    ("2", "odd", "200", "7", "csv", True):
+        "181fb97680e217f7b795f36801188d971c160943f3e2680d7b8cfccc193b10da",
 }
 
 
 @pytest.mark.parametrize(
-    "shape, digest", TABLE_DIGESTS.items(), ids=["d1-csv", "d1-json", "d2-csv-float", "d2-json"]
+    "shape, digest", TABLE_DIGESTS.items(),
+    ids=["d1-csv", "d1-json", "d2-csv-float", "d2-json", "d1-json-large", "d2-csv-float-large"],
 )
 def test_table_output_bytes_are_pinned(capsys, shape, digest):
     degree, parity, hmax, budget, fmt, with_float = shape
@@ -215,6 +221,54 @@ def test_table_output_bytes_are_pinned(capsys, shape, digest):
     )
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class _Stdout:
+    """A stdout that keeps each write, or with keep=False only their count
+    and total length."""
+
+    def __init__(self, keep: bool = True):
+        self.keep, self.writes, self.count, self.size = keep, [], 0, 0
+
+    def write(self, text: str) -> int:
+        if self.keep:
+            self.writes.append(text)
+        self.count += 1
+        self.size += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("degree, fmt, header", [("1", "json", 0), ("2", "csv", 1)])
+def test_table_writes_once_per_genus(monkeypatch, degree, fmt, header):
+    out = _Stdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    argv = ["table", "--degree", degree, "--hmax", "30", "--parity", "odd",
+            "--alpha-budget", "3", "--format", fmt, "--float"]
+    assert main(argv) == 0
+    assert len(out.writes) == header + 31
+    for h, text in enumerate(out.writes[header:]):
+        lines = text.splitlines()
+        assert len(lines) == len(list(descendant_multisets(3, 3)))
+        if fmt == "json":
+            assert {json.loads(line)["h"] for line in lines} == {h}
+        else:
+            assert {int(line.split(",")[1]) for line in lines} == {h}
+
+
+def test_a_long_table_streams_in_bounded_memory(monkeypatch):
+    out = _Stdout(keep=False)
+    monkeypatch.setattr(sys, "stdout", out)
+    argv = ["table", "--degree", "2", "--hmax", "3000", "--parity", "even",
+            "--alpha-budget", "2", "--format", "csv", "--float"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.count == 1 + 3001 and out.size > 10 * 2**20
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetagw import degeneration, invariants, verify
+from thetagw import core, degeneration, invariants, verify
 from thetagw.core import descendant_multisets, recording_ops
 from thetagw.degeneration import bubble_channel_11, gluing_consistent
 from thetagw.verify import run_suite
@@ -141,10 +141,30 @@ def _doubled(num, den):
 )
 def test_value_table_check_catches_a_wrong_last_genus(monkeypatch, edit, lhs, rhs):
     value_table = invariants.value_table
-    monkeypatch.setattr(
-        invariants, "value_table", lambda *bounds: edit(list(value_table(*bounds)))
-    )
+
+    def edited(*bounds):
+        # the edit sees the flattened (h, alphas, num, den) rows, regrouped by h
+        rows = edit([(h, *row) for h, block in value_table(*bounds) for row in block])
+        for h, group in itertools.groupby(rows, key=lambda row: row[0]):
+            yield h, tuple(row[1:] for row in group)
+
+    monkeypatch.setattr(invariants, "value_table", edited)
     checks = {c.name: c for c in run_suite("degeneration", hmax=3, alpha_budget=2).checks}
     # 8 multisets of budget 2 at each of h = 0..3, in each of the four tables
     check = checks["degeneration/value_table[hmax=3,sum<=2]"]
     assert (check.lhs, check.rhs) == (lhs, rhs)
+
+
+def test_row_set_check_catches_multisets_one_short_of_the_budget(monkeypatch):
+    def short(max_len, max_total):
+        return descendant_multisets(max_len, max_total - 1)
+
+    for module in (core, invariants, verify):
+        monkeypatch.setattr(module, "descendant_multisets", short)
+    # every other check enumerates with the same function, so it still agrees
+    failed = {c.name: (c.lhs, c.rhs) for c in run_suite("all").failures}
+    # rows 0..6 are (), (0,), ..., (5,); row 7 is (0, 0) where (6,) belongs
+    assert failed == {
+        "degeneration/row_set[sum<=6]":
+            ("126 of 133 cases differ, first at row=7: (0, 0)", "(6,)"),
+    }

@@ -96,7 +96,11 @@ def test_integer_kernel_matches_the_fraction_blocks():
 
 def test_value_table_rows_in_genus_major_order():
     for d, parity in itertools.product((1, 2), (0, 1)):
-        rows = list(value_table(d, parity, 4, 3))
+        blocks = list(value_table(d, parity, 4, 3))
+        assert [h for h, _ in blocks] == list(range(5))
+        # degree 1 yields one rows object for every genus, degree 2 a new one each
+        assert len({id(block) for _, block in blocks}) == (1 if d == 1 else 5)
+        rows = [(h, *row) for h, block in blocks for row in block]
         assert [(h, alphas, Fraction(num, den)) for h, alphas, num, den in rows] == [
             (h, alphas, evaluate(InvariantQuery(d, h, parity, alphas)))
             for h, alphas in itertools.product(range(5), descendant_multisets(3, 3))

@@ -47,10 +47,9 @@ def _shifted_prime_degree(degrees: dict) -> dict:
     return {**degrees, "over_lambda_prime": degrees["over_lambda_prime"] + 1}
 
 
-def _shifted_last_genus(rows) -> list:
-    rows = list(rows)
-    last = rows[-1][0]
-    return [(h, alphas, num << 1 if h == last else num, den) for h, alphas, num, den in rows]
+def _shifted_last_genus(blocks) -> list:
+    *rest, (last, rows) = blocks
+    return [*rest, (last, tuple((alphas, num << 1, den) for alphas, num, den in rows))]
 
 
 MUTANTS = {
@@ -102,6 +101,19 @@ def test_perturbed_op_fails_every_suite_that_runs_it(monkeypatch, op, perturb):
             ran.append(suite)
             assert report.failures, f"{suite} passes with {op} perturbed"
     assert ran
+
+
+def test_the_value_table_mutant_fails_by_value_not_by_shape(monkeypatch):
+    # the mutant keeps the block form, so the check compares its rows
+    _patch_everywhere(
+        monkeypatch, "invariants.value_table",
+        lambda original: lambda *args: _shifted_last_genus(original(*args)),
+    )
+    checks = {c.name: c for c in verify.run_suite("degeneration", **BOUNDS).checks}
+    check = checks["degeneration/value_table[hmax=3,sum<=2]"]
+    assert not check.passed
+    # 8 multisets at h = 3 in each of the four tables
+    assert check.lhs.startswith("32 of 128 cases differ, first at d=1,parity=0,h=3,alphas=[]: ")
 
 
 def test_every_registered_op_has_a_mutant():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetagw import verify
+from thetagw import core, invariants, verify
 from thetagw.cli import main
 from thetagw.core import descendant_multisets
 from thetagw.invariants import InvariantQuery
@@ -78,6 +78,9 @@ def test_each_sweep_counts_its_cases(hmax, kmax, alpha_budget):
         "degeneration/genus_scaling_grid": 2 * (hmax + 1) * grid,
         "degeneration/bubble_factorizes": grid,
         "degeneration/value_table": 4 * (hmax + 1) * table,
+        "degeneration/row_set": table,
+        "degeneration/chi_from_vdim": 2 * (hmax + 1) * grid,
+        "etale/double_cover_chi": hmax + 1,
         "degeneration/weight_beta_oracle": 2 * alpha_budget + 1,
         "torsion/identity": hmax - 1,
         "torsion/grand_total": 2 * (top - 1),
@@ -134,3 +137,17 @@ def test_quintic_check_fails_under_a_flipped_parity_sign(monkeypatch):
     monkeypatch.setattr(InvariantQuery, "sign", property(lambda q: (-1) ** (q.parity + 1)))
     failed = {c.name: (c.lhs, c.rhs) for c in run_suite("parity").failures}
     assert failed == {"parity/quintic_lee_parker[h=6]": ("1", "-1")}
+
+
+def test_chi_checks_fail_under_a_wrong_genus_term(monkeypatch):
+    # d*(h+1) for d*(h-1) in the formula of required_chi
+    def wrong_chi(d, h, alphas):
+        return -(d * (h + 1) + sum(alphas))
+
+    for module in (core, invariants, verify):
+        monkeypatch.setattr(module, "required_chi", wrong_chi)
+    failed = {c.name for c in run_suite("all").failures}
+    assert failed == {
+        "degeneration/chi_from_vdim[hmax=10,n<=4,sum<=6]",
+        "etale/double_cover_chi[h<=12]",
+    }
