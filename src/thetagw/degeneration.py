@@ -14,7 +14,9 @@ product prod_i w(a_i) (-2)^{-a_i}, with w(a) = a!/(2a+1)!, since every
 insertion lands on exactly one component; so the sum is
 2^n * degree1(h = 0, even parity).  The enumeration stays in the library
 only until the bench self-test (bench/test_bench.py) stops pinning the
-2^n * n block calls it makes.
+2^n * n block calls it makes.  It keeps those calls but multiplies in
+integers: each assignment's block numerators and denominators go into two
+ints, and the assignment adds one `Fraction` to the sum.
 
 The full-contact (2) channel is not computed: no route to it that avoids
 back-solving it from the genus-0 base case is implemented, and a
@@ -43,16 +45,22 @@ def bubble_channel_11(alphas) -> Fraction:
     """(1,1)-contact bubble invariant with the given point-class
     descendants: sum over all functions from the insertion set to the two
     map components of the product of per-component degree-one blocks (an
-    empty component contributes the unit relative invariant 1)."""
+    empty component contributes the unit relative invariant 1).
+
+    Each assignment reads one :func:`descendant_block` per insertion, 2^n * n
+    calls in all, which the bench self-test counts; it multiplies their
+    numerators and denominators as ints and adds one `Fraction` to the sum."""
     alphas = tuple(alphas)
     total = Fraction(0)
     for assignment in itertools.product((0, 1), repeat=len(alphas)):
-        product = Fraction(1)
+        num = den = 1
         for component in (0, 1):
             for a, where in zip(alphas, assignment):
                 if where == component:
-                    product *= descendant_block(a)
-        total += product
+                    block = descendant_block(a)
+                    num *= block.numerator
+                    den *= block.denominator
+        total += Fraction(num, den)
     return total
 
 

@@ -11,10 +11,12 @@ Both are s * (-1)^{sum a} * 2^e * prod_i a_i! / prod_i (2a_i+1)! with an
 integer e (-sum a in degree 1, h+n-1+sum a in degree 2), so
 :func:`degree1`, :func:`degree2` and :func:`degree2_base` share one kernel
 that multiplies the factorials, the sign and the power of 2 in integers
-and builds a single `Fraction`.  The per-insertion `Fraction` block
-:func:`descendant_block` is the longer route: the bubble's assignment sum
-multiplies it, and verify and the tests hold it, with its degree-2 twin
-in verify, as the oracle of the kernel.
+and builds a single `Fraction`.  The per-insertion block
+:func:`descendant_block` is the longer route, one `Fraction`
+(-1)^a a! / ((2a+1)! 2^a) per insertion built from integers: the bubble's
+assignment sum multiplies its numerators and denominators, and verify and
+the tests hold it, with its degree-2 twin in verify, as the oracle of the
+kernel.
 
 Degree 1 does not depend on the genus and degree 2 depends on it only
 through 2^h, so :func:`value_table` evaluates each insertion multiset once,
@@ -59,16 +61,16 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .core import descendant_multisets, op, required_chi
-from .spin import parity_census, signed_double_cover_sum
-from .torsion import branched_cover_total
 
 
 def descendant_block(a: int) -> Fraction:
     """Degree-one weight of a single point-class descendant insertion:
-    a!/(2a+1)! * (-2)^{-a}."""
+    a!/(2a+1)! * (-2)^{-a}, built as the one `Fraction`
+    (-1)^a a! / ((2a+1)! 2^a)."""
     if a < 0:
         raise ValueError("descendant exponent must be >= 0")
-    return Fraction(math.factorial(a), math.factorial(2 * a + 1)) * Fraction(-2) ** (-a)
+    num = math.factorial(a)
+    return Fraction(-num if a % 2 else num, math.factorial(2 * a + 1) << a)
 
 
 def _weight(a: int) -> tuple[int, int]:
@@ -203,6 +205,8 @@ def twisted_breakdown(h: int) -> TwistedBreakdown:
     (h-2) 2^{2h-3}.  Verify compares the total with (h - 8/3) 2^{2h-3}."""
     if h < 2:
         raise ValueError("twisted breakdown needs h >= 2")
+    from .spin import parity_census
+
     return TwistedBreakdown(
         h=h,
         per_etale=degree1(InvariantQuery(1, h, 0, (1,))),
@@ -219,6 +223,9 @@ def degree2_tau1_decomposition(h: int, parity: int) -> dict[str, Fraction]:
     :mod:`thetagw.spin` times the degree-1 tau_1 value, and the
     branched-cover component contributes :func:`thetagw.torsion.branched_cover_total`.
     The grand total reproduces the closed formula (-1)^parity * 2^h * (-1/3)."""
+    from .spin import signed_double_cover_sum
+    from .torsion import branched_cover_total
+
     etale_total = signed_double_cover_sum(h, parity, "unweighted") * degree1(
         InvariantQuery(1, h, 0, (1,))
     )

@@ -28,6 +28,30 @@ def test_bubble_channel_symmetric(alphas):
     assert len(values) == 1
 
 
+def _bubble_by_fraction_products(alphas) -> Fraction:
+    """The assignment sum with every block multiplied into a `Fraction`: the
+    longer route, kept as the oracle of the integer enumeration."""
+    total = Fraction(0)
+    for assignment in itertools.product((0, 1), repeat=len(alphas)):
+        product = Fraction(1)
+        for component in (0, 1):
+            for a, where in zip(alphas, assignment):
+                if where == component:
+                    product *= invariants.descendant_block(a)
+        total += product
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=8))
+def test_bubble_channel_matches_the_fraction_products_and_the_closed_form(alphas):
+    bubble = bubble_channel_11(alphas)
+    assert bubble == _bubble_by_fraction_products(alphas)
+    assert bubble == 2 ** len(alphas) * invariants.degree1(
+        invariants.InvariantQuery(1, 0, 0, alphas)
+    )
+
+
 def test_bubble_unit_insertion_doubles():
     for alphas in descendant_multisets(3, 5):
         assert bubble_channel_11(alphas + (0,)) == 2 * bubble_channel_11(alphas)

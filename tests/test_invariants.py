@@ -94,6 +94,14 @@ def test_integer_kernel_matches_the_fraction_blocks():
         descendant_block(-1)
 
 
+def test_descendant_block_matches_the_fraction_power_route():
+    # the longer route: three Fractions, a negative power, two products
+    for a in range(301):
+        assert descendant_block(a) == Fraction(
+            math.factorial(a), math.factorial(2 * a + 1)
+        ) * Fraction(-2) ** -a
+
+
 def test_value_table_rows_in_genus_major_order():
     for d, parity in itertools.product((1, 2), (0, 1)):
         blocks = list(value_table(d, parity, 4, 3))

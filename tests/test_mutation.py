@@ -136,6 +136,10 @@ KERNEL_EDITS = {
         ),
         "degeneration/", BOUNDS,
     ),
+    # the sign (-1)^a of each degree-one block dropped
+    "invariants.descendant_block": (
+        lambda block: lambda a: abs(block(a)), "degeneration/", BOUNDS,
+    ),
     # doubled from j = 9 on, past every entry that kmax = 2 reaches, so the
     # edit fails only at hankel's default kmax
     "series.sqrt_coeff": (

@@ -1,7 +1,9 @@
 """What a ``table`` or ``invariant`` process loads: the evaluators, and neither
-the verification suites nor `dataclasses` and the `inspect` it pulls in; and
-that a ``verify`` process loads neither of those two either.  Also that no
-module of the package reads another module's private names."""
+the verification suites, nor `spin` and `torsion` (only the tau_1 breakdowns
+of `invariants` use them, and import them when they run), nor `dataclasses`
+and the `inspect` it pulls in; and that a ``verify`` process loads neither of
+those two either.  Also that no module of the package reads another module's
+private names."""
 
 import ast
 import importlib
@@ -21,8 +23,6 @@ EVALUATORS = {
     "thetagw.cli",
     "thetagw.core",
     "thetagw.invariants",
-    "thetagw.spin",
-    "thetagw.torsion",
 }
 
 
