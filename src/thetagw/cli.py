@@ -107,15 +107,15 @@ def _write_rows(degree: int, parity: str, blocks, fmt: str, with_float: bool) ->
     per genus; rows is a tuple of (alphas, num, den), the value num/den in
     lowest terms with den > 0.
 
-    A row's cells are the fields fixed by its multiset, chi0 = chi at h = 0,
-    and the value text with its optional float.  They are rebuilt only when
-    rows is not the previous block, so a degree-1 table, which yields one
-    rows tuple for every genus, builds them once.  Value texts are kept by
-    (num, den) for the current and the previous genus: a degree-2 value
-    recurs one genus later, at the multiset with one 0 less, so each text is
-    formatted as often as a whole-table cache would, while memory stays at
-    one block.  Each genus is then one join of f-strings of h, the fixed
-    fields, chi0 - degree*h and the value text."""
+    Every block lists the same multisets in the same order, so each row's
+    head, the fields fixed by its multiset and chi0 = chi at h = 0, is built
+    once, from the first block.  Value texts, with their optional float, are
+    rebuilt only when rows is not the previous block (a degree-1 table yields
+    one rows tuple for every genus) and kept by (num, den) for the current
+    and the previous genus: a degree-2 value recurs one genus later, at the
+    multiset with one 0 less, so each text is formatted as often as a
+    whole-table cache would, while memory stays at one block.  Each genus is
+    then one join of f-strings of h, the head, chi0 - degree*h and the text."""
     if fmt == "json":
         lead = f'{{"degree": {degree}, "h": '
         value_open, value_close, end = ', "value": "', '"', "}\n"
@@ -131,18 +131,18 @@ def _write_rows(degree: int, parity: str, blocks, fmt: str, with_float: bool) ->
         lead, value_open, value_close, end = f"degree={degree} h=", " value=", "", "\n"
         float_open, float_text = " value_float=", repr
 
-    heads: dict[tuple[int, ...], tuple[str, int]] = {}  # alphas -> fixed fields, chi0
+    heads = None  # (fixed fields, chi0) per multiset, from the first block
     texts: dict[tuple[int, int], str] = {}  # (num, den) -> value text, this genus
-    rows = cells = None
+    rows = values = None
     for h, block in blocks:
+        if heads is None:
+            heads = [
+                (_fixed_fields(fmt, parity, alphas), required_chi(degree, 0, alphas))
+                for alphas, _, _ in block
+            ]
         if block is not rows:
-            rows, previous, texts, cells = block, texts, {}, []
-            for alphas, num, den in rows:
-                head = heads.get(alphas)
-                if head is None:
-                    head = heads[alphas] = (
-                        _fixed_fields(fmt, parity, alphas), required_chi(degree, 0, alphas)
-                    )
+            rows, previous, texts, values = block, texts, {}, []
+            for _, num, den in rows:
                 key = num, den
                 text = previous.get(key) or texts.get(key)
                 if text is None:
@@ -150,11 +150,11 @@ def _write_rows(degree: int, parity: str, blocks, fmt: str, with_float: bool) ->
                     tail = f"{float_open}{float_text(_to_float(num, den))}" if with_float else ""
                     text = f"{value_open}{exact}{value_close}{tail}{end}"
                 texts[key] = text
-                cells.append((*head, text))
+                values.append(text)
         start, shift = f"{lead}{h}", degree * h
-        sys.stdout.write(
-            "".join([f"{start}{fixed}{chi0 - shift}{text}" for fixed, chi0, text in cells])
-        )
+        sys.stdout.write("".join([
+            f"{start}{fixed}{chi0 - shift}{text}" for (fixed, chi0), text in zip(heads, values)
+        ]))
 
 
 def _cmd_invariant(args) -> int:

@@ -7,16 +7,16 @@ With s = (-1)^{h^0(L)} and blocks w(a) = a!/(2a+1)!:
     degree 1:  s * prod_i w(a_i) * (-2)^{-a_i}
     degree 2:  s * 2^{h+n-1} * prod_i w(a_i) * (-2)^{+a_i}
 
-Both are s * (-1)^{sum a} * 2^e * prod_i a_i! / prod_i (2a_i+1)! with an
-integer e (-sum a in degree 1, h+n-1+sum a in degree 2), so
-:func:`degree1`, :func:`degree2` and :func:`degree2_base` share one kernel
-that multiplies the factorials, the sign and the power of 2 in integers
-and builds a single `Fraction`.  The per-insertion block
-:func:`descendant_block` is the longer route, one `Fraction`
-(-1)^a a! / ((2a+1)! 2^a) per insertion built from integers: the bubble's
-assignment sum multiplies its numerators and denominators, and verify and
-the tests hold it, with its degree-2 twin in verify, as the oracle of the
-kernel.
+Since a!/(2a+1)! = 1/((a+1)(a+2)...(2a+1)) = 1/perm(2a+1, a+1), both are
+s * (-1)^{sum a} * 2^e / prod_i perm(2a_i+1, a_i+1) with an integer e
+(-sum a in degree 1, h+n-1+sum a in degree 2), so :func:`degree1`,
+:func:`degree2` and :func:`degree2_base` share one kernel: a signed power
+of 2 over one `math.perm` product, built as a single `Fraction`.  The
+per-insertion block :func:`descendant_block` is the longer route, one
+`Fraction` (-1)^a a! / ((2a+1)! 2^a) per insertion built from factorials:
+the bubble's assignment sum multiplies its numerators and denominators,
+and verify and the tests hold it, with its degree-2 twin in verify, as
+the oracle of the kernel.
 
 Degree 1 does not depend on the genus and degree 2 depends on it only
 through 2^h, so :func:`value_table` evaluates each insertion multiset once,
@@ -73,26 +73,23 @@ def descendant_block(a: int) -> Fraction:
     return Fraction(-num if a % 2 else num, math.factorial(2 * a + 1) << a)
 
 
-def _weight(a: int) -> tuple[int, int]:
-    """Numerator a! and denominator (2a+1)! of one insertion's weight."""
+def _weight(a: int) -> int:
+    """(2a+1)!/a! = (a+1)(a+2)...(2a+1), the reciprocal of one insertion's
+    weight a!/(2a+1)!."""
     if a < 0:
         raise ValueError("descendant exponent must be >= 0")
-    return math.factorial(a), math.factorial(2 * a + 1)
+    return math.perm(2 * a + 1, a + 1)
 
 
 def _kernel(sign: int, alphas, two_power: int) -> Fraction:
-    """sign * 2^two_power * prod_i (-1)^{a_i} a_i!/(2a_i+1)!, in integers
-    up to one final `Fraction`."""
-    num, den = sign, 1
-    for a in alphas:
-        a_num, a_den = _weight(a)
-        num *= -a_num if a % 2 else a_num
-        den *= a_den
+    """sign * 2^two_power * prod_i (-1)^{a_i} a_i!/(2a_i+1)!, as the one
+    `Fraction` of a signed power of 2 over prod_i (2a_i+1)!/a_i!."""
+    if sum(alphas) % 2:
+        sign = -sign
+    den = math.prod(map(_weight, alphas))
     if two_power >= 0:
-        num <<= two_power
-    else:
-        den <<= -two_power
-    return Fraction(num, den)
+        return Fraction(sign << two_power, den)
+    return Fraction(sign, den << -two_power)
 
 
 class InvariantQuery(namedtuple("InvariantQuery", "d h parity alphas")):

@@ -93,14 +93,12 @@ def test_bubble_factorizes_check_catches_a_skipped_assignment(monkeypatch):
 def test_tripled_weights_past_tau1_fail_verify(monkeypatch):
     # the same edit to a!/(2a+1)! for a >= 2 in the integer kernel and in
     # both Fraction blocks leaves every ratio between them intact; only the
-    # Beta-integral oracle sees it
+    # Beta-integral oracle sees it.  The kernel holds the reciprocal
+    # (a+1)...(2a+1), which three consecutive integers divide once a >= 2
     weight = invariants._weight
-
-    def tripled_weight(a):
-        num, den = weight(a)
-        return (3 * num if a >= 2 else num), den
-
-    monkeypatch.setattr(invariants, "_weight", tripled_weight)
+    monkeypatch.setattr(
+        invariants, "_weight", lambda a: weight(a) // 3 if a >= 2 else weight(a)
+    )
     for module, name in (
         (invariants, "descendant_block"),
         (verify, "_descendant_block_deg2"),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -76,7 +77,14 @@ def test_degree2_matches_weighted_cover_sum():
 
 
 def test_integer_kernel_matches_the_fraction_blocks():
-    for h, parity, alphas in itertools.product((0, 3), (0, 1), descendant_multisets(4, 8)):
+    # every small multiset, and seeded ones with exponents far past verify's
+    rng = random.Random(30)
+    drawn = [
+        tuple(sorted(rng.randint(0, 300) for _ in range(rng.randint(1, 5)))) for _ in range(40)
+    ]
+    assert {sum(alphas) % 2 for alphas in drawn} == {0, 1}
+    multisets = [*descendant_multisets(4, 8), *drawn]
+    for h, parity, alphas in itertools.product((0, 3), (0, 1), multisets):
         sign = Fraction((-1) ** parity)
         assert degree1(InvariantQuery(1, h, parity, alphas)) == math.prod(
             map(descendant_block, alphas), start=sign
@@ -84,7 +92,7 @@ def test_integer_kernel_matches_the_fraction_blocks():
         assert degree2(InvariantQuery(2, h, parity, alphas)) == math.prod(
             map(_descendant_block_deg2, alphas), start=sign * Fraction(2) ** (h + len(alphas) - 1)
         )
-    for alphas in descendant_multisets(4, 8):
+    for alphas in multisets:
         assert degree2_base(alphas) == math.prod(
             map(_descendant_block_deg2, alphas), start=Fraction(2) ** (len(alphas) - 1)
         )
