@@ -15,10 +15,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "Partition",
-        "Rational",
         "binomial",
         "descendant_multisets",
-        "parse_rational",
         "partitions_of",
         "rational_str",
         "required_chi",
@@ -42,7 +40,6 @@ _EXPORTS = {
         "TwistedBreakdown",
         "degree1",
         "degree2",
-        "degree2_base",
         "degree2_tau1_decomposition",
         "descendant_block",
         "evaluate",
@@ -70,7 +67,3 @@ def __getattr__(name: str):
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f"{__name__}.{module}"), name)
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})

@@ -23,7 +23,7 @@ import json
 import math
 import sys
 
-from .core import SUITE_NAMES, required_chi
+from .core import SUITE_NAMES, rational_str, required_chi
 from .invariants import InvariantQuery, evaluate, value_table
 
 
@@ -146,9 +146,8 @@ def _write_rows(degree: int, parity: str, blocks, fmt: str, with_float: bool) ->
                 key = num, den
                 text = previous.get(key) or texts.get(key)
                 if text is None:
-                    exact = f"{num}/{den}" if den != 1 else str(num)
                     tail = f"{float_open}{float_text(_to_float(num, den))}" if with_float else ""
-                    text = f"{value_open}{exact}{value_close}{tail}{end}"
+                    text = f"{value_open}{rational_str(num, den)}{value_close}{tail}{end}"
                 texts[key] = text
                 values.append(text)
         start, shift = f"{lead}{h}", degree * h

@@ -1,8 +1,7 @@
 """Exact scalars, binomials, and partition combinatorics.
 
-Every value in this package is an exact rational; the scalar type throughout
-is `fractions.Fraction`, re-exported as `Rational`.  Nothing here (or
-anywhere downstream) rounds.
+Every value in this package is an exact rational, a `fractions.Fraction`
+or an int.  Nothing here (or anywhere downstream) rounds.
 
 The operations the verify suites must exercise are marked with :func:`op`;
 :func:`recording_ops` measures which of them actually run.
@@ -13,8 +12,8 @@ the other modules, and the checks and reports of `verify`) are
 library's frozen-record decorator would import `inspect`, which costs more
 start-up than everything a ``table`` or ``invariant`` process computes for
 a small query.  A record is a tuple: it equals the plain tuple of its
-fields, iterates over them, and is updated with ``_replace``.  A record that checks its fields does so in ``__new__``,
-and its ``_make`` goes through ``__new__``, so ``_replace`` checks them too.
+fields and iterates over them.  A record that checks its fields does so in
+``__new__``, when it is constructed; ``_replace`` does not check them again.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from fractions import Fraction
-
-Rational = Fraction
 
 # "module.name" of every function marked with @op.
 OPS: set[str] = set()
@@ -58,28 +54,19 @@ def op(fn):
 
 @contextmanager
 def recording_ops():
-    """Yield the set of registered op names that run inside the block;
-    an enclosing recording sees them too."""
+    """Yield the set of registered op names that run inside the block."""
     seen: set[str] = set()
     token = _running_ops.set(seen)
     try:
         yield seen
     finally:
         _running_ops.reset(token)
-        outer = _running_ops.get()
-        if outer is not None:
-            outer |= seen
 
 
-def rational_str(q: Fraction | int) -> str:
-    """Canonical form "num/den" in lowest terms, "num" when den == 1."""
-    num, den = q.numerator, q.denominator
+def rational_str(num: int, den: int) -> str:
+    """Canonical text of num/den, given in lowest terms with den > 0:
+    "num/den", or "num" when den == 1."""
     return f"{num}/{den}" if den != 1 else str(num)
-
-
-def parse_rational(s: str) -> Fraction:
-    """Inverse of :func:`rational_str`."""
-    return Fraction(s)
 
 
 def binomial(n: int, k: int) -> int:
@@ -107,18 +94,6 @@ class Partition(namedtuple("Partition", "parts")):
         if list(parts) != sorted(parts):
             raise ValueError("partition parts must be weakly increasing")
         return super().__new__(cls, parts)
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
 
     @property
     def weight(self) -> int:

@@ -25,7 +25,7 @@ value) for every bubble.  So the channel split is not verified.
 :func:`gluing_consistent` checks only what the sum reduces to, the genus
 scaling
 
-    degree2(h, parity, alphas) == spin_11(h, parity) * degree2_base(alphas)
+    degree2(h, parity, alphas) == spin_11(h, parity) * degree2(0, even, alphas)
 
 with spin_11 the signed unweighted double-cover sum of :mod:`thetagw.spin`.
 """
@@ -36,7 +36,7 @@ import itertools
 from fractions import Fraction
 
 from .core import op
-from .invariants import InvariantQuery, degree2, degree2_base, descendant_block
+from .invariants import InvariantQuery, degree2, descendant_block
 from .spin import signed_double_cover_sum
 
 
@@ -70,6 +70,6 @@ def gluing_consistent(h: int, parity: int, alphas) -> bool:
     (1,1) factor times the genus-0 base case: the genus scaling the gluing
     sum reduces to.  The bubble and the full-contact channel cancel out of
     that reduction, so neither is computed here."""
-    alphas = tuple(alphas)
     lhs = degree2(InvariantQuery(2, h, parity, alphas))
-    return lhs == signed_double_cover_sum(h, parity, "unweighted") * degree2_base(alphas)
+    base = degree2(InvariantQuery(2, 0, 0, alphas))
+    return lhs == signed_double_cover_sum(h, parity, "unweighted") * base

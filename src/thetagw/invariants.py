@@ -9,9 +9,9 @@ With s = (-1)^{h^0(L)} and blocks w(a) = a!/(2a+1)!:
 
 Since a!/(2a+1)! = 1/((a+1)(a+2)...(2a+1)) = 1/perm(2a+1, a+1), both are
 s * (-1)^{sum a} * 2^e / prod_i perm(2a_i+1, a_i+1) with an integer e
-(-sum a in degree 1, h+n-1+sum a in degree 2), so :func:`degree1`,
-:func:`degree2` and :func:`degree2_base` share one kernel: a signed power
-of 2 over one `math.perm` product, built as a single `Fraction`.  The
+(-sum a in degree 1, h+n-1+sum a in degree 2), so :func:`degree1` and
+:func:`degree2` share one kernel: a signed power of 2 over one
+`math.perm` product, built as a single `Fraction`.  The
 per-insertion block :func:`descendant_block` is the longer route, one
 `Fraction` (-1)^a a! / ((2a+1)! 2^a) per insertion built from factorials:
 the bubble's assignment sum multiplies its numerators and denominators,
@@ -25,8 +25,8 @@ pair (num, den) in lowest terms.  A degree-1 table yields the same block
 object for every genus, and a degree-2 table doubles each pair per genus
 in integers.
 
-The degree-2 formula specializes at h = 0 to the rational base case
-(total space of O(-1) over the projective line); the degeneration module
+At h = 0 and even parity, :func:`degree2` is the rational base case (the
+total space of O(-1) over the projective line); the degeneration module
 checks the genus-h values against it scaled by the spin-side factor.
 
 Where (h, parity) come from.  In the paper's application S is a minimal
@@ -60,7 +60,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .core import descendant_multisets, op, required_chi
+from .core import descendant_multisets, op
 
 
 def descendant_block(a: int) -> Fraction:
@@ -113,15 +113,6 @@ class InvariantQuery(namedtuple("InvariantQuery", "d h parity alphas")):
             raise ValueError("descendant exponents must be >= 0")
         return super().__new__(cls, d, h, parity, alphas)
 
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
-
-    @property
-    def chi(self) -> int:
-        """The only Euler characteristic at which the value can be nonzero."""
-        return required_chi(self.d, self.h, self.alphas)
-
     @property
     def sign(self) -> int:
         return (-1) ** self.parity
@@ -139,14 +130,6 @@ def degree2(q: InvariantQuery) -> Fraction:
     if q.d != 2:
         raise ValueError("degree2 requires d = 2")
     return _kernel(q.sign, q.alphas, q.h + len(q.alphas) - 1 + sum(q.alphas))
-
-
-@op
-def degree2_base(alphas) -> Fraction:
-    """Degree-2 invariant of the rational base case (genus 0, even parity):
-    2^{n-1} * prod_i a_i!/(2a_i+1)! * (-2)^{a_i}."""
-    alphas = tuple(alphas)
-    return _kernel(1, alphas, len(alphas) - 1 + sum(alphas))
 
 
 def evaluate(q: InvariantQuery) -> Fraction:

@@ -32,10 +32,6 @@ class ZMonomial(namedtuple("ZMonomial", "coeff exp")):
             raise ValueError("z-exponent must be >= 0")
         return super().__new__(cls, coeff, exp)
 
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
-
 
 class TruncatedSeries:
     """Dense univariate series modulo z^order, coefficients exact rationals."""

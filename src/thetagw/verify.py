@@ -66,7 +66,7 @@ def _text(value) -> str:
     :func:`thetagw.core.rational_str`), through records, shown as
     ``Name(field=...)``, and through tuples, lists and dicts."""
     if isinstance(value, Fraction):
-        return rational_str(value)
+        return rational_str(value.numerator, value.denominator)
     if hasattr(value, "_fields"):
         fields = ", ".join(f"{f}={_text(v)}" for f, v in zip(value._fields, value))
         return f"{type(value).__name__}({fields})"
@@ -354,8 +354,9 @@ def suite_degeneration(*, hmax: int = 10, alpha_budget: int = 6) -> Iterator[Che
         Fraction(-1, 12),
     )
     yield _eq("degeneration/bubble_unit", degeneration.bubble_channel_11(()), Fraction(1))
-    yield _eq("degeneration/base_tau1", invariants.degree2_base((1,)), Fraction(-1, 3))
-    yield _eq("degeneration/base_empty", invariants.degree2_base(()), Fraction(1, 2))
+    # the rational base case: degree 2 at genus 0, even parity
+    yield _eq("degeneration/base_tau1", invariants.degree2(InvariantQuery(2, 0, 0, (1,))), Fraction(-1, 3))
+    yield _eq("degeneration/base_empty", invariants.degree2(InvariantQuery(2, 0, 0)), Fraction(1, 2))
 
     coeffs = {
         eta.parts: Fraction(eta.weight, eta.aut) for eta in partitions_of(2)

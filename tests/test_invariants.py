@@ -10,7 +10,6 @@ from thetagw.invariants import (
     InvariantQuery,
     degree1,
     degree2,
-    degree2_base,
     degree2_tau1_decomposition,
     descendant_block,
     evaluate,
@@ -32,11 +31,6 @@ def test_query_validation():
         InvariantQuery(1, 1, 0, (-1,))
 
 
-def test_query_chi():
-    assert InvariantQuery(2, 3, 0, (1,)).chi == -5
-    assert InvariantQuery(1, 1, 0, ()).chi == 0
-
-
 def test_degree1_values():
     assert degree1(InvariantQuery(1, 2, 0, (0,))) == 1
     assert degree1(InvariantQuery(1, 2, 0, (1,))) == Fraction(-1, 12)
@@ -56,16 +50,10 @@ def test_degree2_values():
 
 
 def test_degree2_base_values():
-    assert degree2_base((1,)) == Fraction(-1, 3)
-    assert degree2_base(()) == Fraction(1, 2)
-    assert degree2_base((0, 0)) == 2
-
-
-def test_degree2_specializes_to_base():
-    from thetagw.core import descendant_multisets
-
-    for alphas in descendant_multisets(4, 8):
-        assert degree2(InvariantQuery(2, 0, 0, alphas)) == degree2_base(alphas)
+    # the rational base case: genus 0, even parity
+    assert degree2(InvariantQuery(2, 0, 0, (1,))) == Fraction(-1, 3)
+    assert degree2(InvariantQuery(2, 0, 0, ())) == Fraction(1, 2)
+    assert degree2(InvariantQuery(2, 0, 0, (0, 0))) == 2
 
 
 def test_degree2_matches_weighted_cover_sum():
@@ -92,12 +80,6 @@ def test_integer_kernel_matches_the_fraction_blocks():
         assert degree2(InvariantQuery(2, h, parity, alphas)) == math.prod(
             map(_descendant_block_deg2, alphas), start=sign * Fraction(2) ** (h + len(alphas) - 1)
         )
-    for alphas in multisets:
-        assert degree2_base(alphas) == math.prod(
-            map(_descendant_block_deg2, alphas), start=Fraction(2) ** (len(alphas) - 1)
-        )
-    with pytest.raises(ValueError):
-        degree2_base((1, -1))
     with pytest.raises(ValueError):
         descendant_block(-1)
 

@@ -62,7 +62,6 @@ MUTANTS = {
     "invariants.degree1": lambda value: value + 1,
     "invariants.degree2_tau1_decomposition": _moved_tau1_split,
     "invariants.degree2": lambda value: value + 1,
-    "invariants.degree2_base": lambda value: value + 1,
     "invariants.twisted_breakdown": lambda b: b._replace(branched_part=b.branched_part + 1),
     "invariants.value_table": _shifted_last_genus,
     "spin.arf_census_bruteforce": _shifted_census,
@@ -120,10 +119,17 @@ def test_every_registered_op_has_a_mutant():
     assert set(MUTANTS) == OPS
 
 
-# Coherent edits of the unregistered kernels: each edited kernel replaces the
-# original in every module that binds it, oracles in verify included, and
-# must still fail some check of the family named, run at the bounds given.
+# Coherent edits of the unregistered kernels, and of degree2 at its base
+# case alone: each edited kernel replaces the original in every module that
+# binds it, oracles in verify included, and must still fail some check of
+# the family named, run at the bounds given.
 KERNEL_EDITS = {
+    # one too high at genus 0 only, the rational base case typed in by
+    # base_tau1
+    "invariants.degree2": (
+        lambda degree2: lambda q: degree2(q) + (q.h == 0),
+        "degeneration/base_tau1", BOUNDS,
+    ),
     # the denominator (2a)! for (2a+1)!: (2a)!/a! for (2a+1)!/a!
     "invariants._weight": (
         lambda weight: lambda a: math.perm(2 * a, a),
