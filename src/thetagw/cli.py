@@ -23,7 +23,7 @@ import json
 import math
 import sys
 
-from .core import SUITE_NAMES, rational_str, required_chi
+from .core import SUITE_NAMES, rational_str, required_chi, unlimited_digits
 from .invariants import InvariantQuery, evaluate, value_table
 
 
@@ -115,7 +115,7 @@ def _write_rows(degree: int, parity: str, blocks, fmt: str, with_float: bool) ->
     and the previous genus: a degree-2 value recurs one genus later, at the
     multiset with one 0 less, so each text is formatted as often as a
     whole-table cache would, while memory stays at one block.  Each genus is
-    then one join of f-strings of h, the head, chi0 - degree*h and the text."""
+    then one join of f-strings of h, the head, chi0 - shift and the text."""
     if fmt == "json":
         lead = f'{{"degree": {degree}, "h": '
         value_open, value_close, end = ', "value": "', '"', "}\n"
@@ -136,6 +136,7 @@ def _write_rows(degree: int, parity: str, blocks, fmt: str, with_float: bool) ->
     rows = values = None
     for h, block in blocks:
         if heads is None:
+            base = required_chi(degree, 0, ())
             heads = [
                 (_fixed_fields(fmt, parity, alphas), required_chi(degree, 0, alphas))
                 for alphas, _, _ in block
@@ -150,7 +151,7 @@ def _write_rows(degree: int, parity: str, blocks, fmt: str, with_float: bool) ->
                     text = f"{value_open}{rational_str(num, den)}{value_close}{tail}{end}"
                 texts[key] = text
                 values.append(text)
-        start, shift = f"{lead}{h}", degree * h
+        start, shift = f"{lead}{h}", base - required_chi(degree, h, ())
         sys.stdout.write("".join([
             f"{start}{fixed}{chi0 - shift}{text}" for (fixed, chi0), text in zip(heads, values)
         ]))
@@ -257,21 +258,15 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Exact values outgrow the interpreter's int->str digit limit, where it has one.
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if digit_limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        with unlimited_digits():
+            return args.func(args)
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except Exception as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 3
-    finally:
-        if digit_limit is not None:
-            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -61,6 +62,19 @@ def recording_ops():
         yield seen
     finally:
         _running_ops.reset(token)
+
+
+@contextmanager
+def unlimited_digits():
+    """Lift the interpreter's int->str digit limit, if it has one, inside the block."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def rational_str(num: int, den: int) -> str:

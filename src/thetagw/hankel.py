@@ -30,10 +30,12 @@ f/g is the [k/k] Pade approximant of s.  Hence
     (P + s Q)(P - s Q) = (1 - s^2)^{2k+1} = t^{2k+1},
     r = (P^2 - (1 - t) Q^2) / 16^k = t^{2k+1} / 16^k,
 
-whose t-adic valuation is 2k+1, with b_k = (-1/4)^k.  Collecting the odd
-powers of s, Q = sum_i C(2k+1, 2i+1) (1 - t)^i, so
+whose t-adic valuation is 2k+1.  With x = 1 + s and y = 1 - s, x + y = 2,
+xy = t and Q = (x^{2k+1} - y^{2k+1})/(x - y); the classical expansion of
+(x^{m+1} - y^{m+1})/(x - y) as sum_j (-1)^j C(m-j, j) (x + y)^{m-2j} (xy)^j
+gives Q = sum_j (-1)^j C(2k-j, j) 4^{k-j} t^j at m = 2k, so
 
-    b_j = (-1)^j 4^{-k} sum_{i=j}^{k} C(2k+1, 2i+1) C(i, j),
+    b_j = (-1)^j C(2k-j, j) / 4^j,   b_k = (-1/4)^k,
 
 which is what :func:`solve_branch_system` returns.  The determinant closed
 forms follow from D_j = -2 Cat_{j-1} / 4^j (j >= 1) and the classical
@@ -87,15 +89,12 @@ class BranchCoefficients(namedtuple("BranchCoefficients", "k coeffs")):
 @op
 def solve_branch_system(k: int) -> BranchCoefficients:
     """Solve (G_1 .. G_k) B = -G_{k+1} in closed form:
-    B_j = (-1)^j 4^{-k} sum_{i>=j} C(2k+1, 2i+1) C(i, j) z^j."""
+    B_j = (-1)^j C(2k-j, j) / 4^j z^j (module docstring)."""
     if k < 1:
         raise ValueError("solve_branch_system requires k >= 1")
-    coeffs = []
-    for j in range(k, 0, -1):
-        # (-1)^j q_j is the t^j coefficient of Q = sum_i C(2k+1, 2i+1) (1 - t)^i
-        q_j = sum(binomial(2 * k + 1, 2 * i + 1) * binomial(i, j) for i in range(j, k + 1))
-        coeffs.append(ZMonomial(Fraction((-1) ** j * q_j, 4**k), j))
-    return BranchCoefficients(k, tuple(coeffs))
+    return BranchCoefficients(k, tuple(
+        ZMonomial(Fraction((-1) ** j * binomial(2 * k - j, j), 4**j), j) for j in range(k, 0, -1)
+    ))
 
 
 @op

@@ -7,14 +7,13 @@ import math
 import sys
 import tracemalloc
 import types
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
-from thetagw import spin, verify
+from thetagw import cli, verify
 from thetagw.cli import MAX_EXPONENT, MAX_GENUS, main
-from thetagw.core import OPS, descendant_multisets, required_chi
+from thetagw.core import OPS, descendant_multisets, required_chi, unlimited_digits
 from thetagw.invariants import InvariantQuery, degree2, evaluate
 from thetagw.verify import run_suite
 
@@ -127,18 +126,6 @@ def test_table_is_the_concatenated_invariant_rows(capsys, fmt, with_float):
         assert table == header + "".join(rows)
 
 
-@contextmanager
-def no_int_str_digit_limit():
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
-
-
 def oracle_output(degree, parity, rows, fmt, with_float):
     """The record route: each row as a dict, printed through json.dumps,
     csv.writer.writerow or the text join."""
@@ -150,7 +137,7 @@ def oracle_output(degree, parity, rows, fmt, with_float):
     if fmt == "csv":
         writer.writerow(header)
     for h, alphas, value in rows:
-        with no_int_str_digit_limit():
+        with unlimited_digits():
             text = str(Fraction(value))
         record = {"degree": degree, "h": h, "parity": parity, "alphas": list(alphas),
                   "chi": required_chi(degree, h, alphas), "value": text}
@@ -189,6 +176,25 @@ def test_table_matches_the_record_oracle(capsys, fmt, with_float):
                 for h, alphas in itertools.product(range(hmax + 1), descendant_multisets(budget, budget))
             ]
             assert out == oracle_output(degree, parity, rows, fmt, with_float)
+
+
+def test_table_chi_follows_required_chi(capsys, monkeypatch):
+    # a genus term of h^2 - 1 in place of h - 1: every printed chi follows it
+    def other_chi(d, h, alphas):
+        return -(d * (h * h - 1) + sum(alphas))
+
+    monkeypatch.setattr(cli, "required_chi", other_chi)
+    for degree in ("1", "2"):
+        code, out, _ = run_cli(
+            capsys, "table", "--degree", degree, "--hmax", "4", "--parity", "odd",
+            "--alpha-budget", "3", "--format", "json",
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 5 * len(list(descendant_multisets(3, 3)))
+        assert all(row["chi"] == other_chi(row["degree"], row["h"], row["alphas"]) for row in rows)
+    code, out, _ = run_cli(capsys, "invariant", "--degree", "2", "--genus", "3", "--parity", "even")
+    assert "chi=-16 " in out
 
 
 # sha256 of the stdout of small tables, pinned from the output of the
@@ -465,29 +471,65 @@ def test_suite_that_raises_does_not_abort_the_report(capsys, monkeypatch):
     assert _check_names(out) == _check_names(clean)
 
 
-def test_a_suite_that_raises_outside_its_sweeps_fails_alone(capsys, monkeypatch):
+# each shared input of the suites as verify calls it, by the module verify
+# reads it from (None: imported by name), and exactly the checks that read it
+SHARED_INPUTS = {
+    "build_ledger": ("torsion", {
+        "torsion/ledger[h=2]", "torsion/ledger[h=3]", "torsion/ledger[h=4]",
+        "torsion/a_closed_forms[r<=30]", "torsion/b_two_routes[j<=60]",
+    }),
+    "parity_census": ("spin", {
+        "parity/census[h<=1]", "parity/census_gap[h<=3]", "parity/census_splits[h1+h2<=3]",
+        "parity/arf_oracle[h<=3]", "torsion/etale_total[h<=3]",
+    }),
+    "descendant_multisets": (None, {
+        "degeneration/genus_scaling_grid[hmax=3,n<=4,sum<=2]",
+        "degeneration/bubble_factorizes[n<=4,sum<=2]",
+        "degeneration/bubble_unit_insertion[n<=3,sum<=4]",
+        "degeneration/degree_ratio[h=0,1,5,n<=3,sum<=6]",
+        "degeneration/kernel_vs_blocks[n<=4,sum<=2]",
+        "degeneration/value_table[hmax=3,sum<=2]",
+        "degeneration/row_set[sum<=2]",
+        "degeneration/chi_from_vdim[hmax=3,n<=4,sum<=2]",
+        "coverage/all-operations-exercised",
+    }),
+    "solve_branch_system": ("hankel", {
+        "hankel/leading_coefficient[k<=2]", "hankel/substitution[k<=2]", "hankel/residual[k<=2]",
+        "hankel/decisions_vs_residual[k<=5]", "hankel/torsion_exponent[i<=5]",
+        "coverage/all-operations-exercised",
+    }),
+    "degree2_tau1_decomposition": ("invariants", {
+        "torsion/grand_total[h<=3]", "torsion/etale_total[h<=3]", "torsion/branched_total[h<=3]",
+        "coverage/all-operations-exercised",
+    }),
+    "partitions_of": (None, {"degeneration/channel_coefficients"}),
+}
+
+
+@pytest.mark.parametrize("name", SHARED_INPUTS)
+def test_a_shared_input_that_raises_fails_exactly_its_readers(capsys, monkeypatch, name):
+    module, readers = SHARED_INPUTS[name]
+
+    def broken(*args):
+        raise ArithmeticError(f"{name} went astray")
+
+    if module is None:
+        monkeypatch.setattr(verify, name, broken)
+    else:
+        # verify's view of the module alone, so the library's own calls still run
+        view = types.SimpleNamespace(**{**vars(getattr(verify, module)), name: broken})
+        monkeypatch.setattr(verify, module, view)
     bounds = ("--hmax", "3", "--kmax", "2", "--alpha-budget", "2")
-    _, clean, _ = run_cli(capsys, "verify", "--suite", "all", *bounds)
-
-    def broken(h):
-        raise ArithmeticError("census went astray")
-
-    # the census as verify calls it: suite_parity builds its census table
-    # before its first sweep, and torsion/etale_total reads it inside one
-    census_raises = types.SimpleNamespace(**{**vars(spin), "parity_census": broken})
-    monkeypatch.setattr(verify, "spin", census_raises)
     code, out, err = run_cli(capsys, "verify", "--suite", "all", *bounds)
     assert code == 1
     assert "Traceback" not in out + err
-    lines = out.splitlines()
-    assert _check_names(out, ("parity/",)) == _check_names(clean, ("parity/",))
-    assert [line for line in lines if "parity/" in line] == [
-        "FAIL parity/raised lhs=ArithmeticError: census went astray rhs=no exception"
-    ]
-    assert (
-        "FAIL torsion/etale_total[h<=3] lhs=ArithmeticError: census went astray "
-        "after 0 cases rhs=no exception"
-    ) in lines
+    reported = [line for line in out.splitlines() if line.startswith(("PASS ", "FAIL "))]
+    verdicts = {line.split(" ")[1]: line for line in reported}
+    assert len(reported) == len(verdicts) == 49
+    # every other check passes, and each reader fails on the exception
+    assert {check for check, line in verdicts.items() if line.startswith("FAIL ")} == readers
+    for check in readers - {"coverage/all-operations-exercised"}:
+        assert verdicts[check].startswith(f"FAIL {check} lhs=ArithmeticError: {name} went astray")
 
 
 def test_invariant_prints_values_past_the_int_str_digit_limit(capsys):
@@ -500,13 +542,8 @@ def test_invariant_prints_values_past_the_int_str_digit_limit(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
     printed = dict(token.split("=") for token in out.split())["value"]
     assert len(printed) > 4300
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
+    with unlimited_digits():
         assert Fraction(printed) == degree2(InvariantQuery(2, 20000, 1, (1, 2, 3)))
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
 
 
 def test_genus_and_exponent_limits_are_usage_errors(capsys):

@@ -56,6 +56,16 @@ def test_solve_small():
     assert sol2.b(2) == ZMonomial(Fraction(1, 16), 2)
 
 
+def test_one_binomial_solve_matches_the_double_sum():
+    # the oracle: collecting the odd powers of s in (1 + s)^{2k+1} = P + s Q
+    # gives Q = sum_i C(2k+1, 2i+1) (1 - t)^i, whose t^j coefficient is a sum
+    for k in range(1, 61):
+        sol = solve_branch_system(k)
+        for j in range(1, k + 1):
+            q_j = sum(binomial(2 * k + 1, 2 * i + 1) * binomial(i, j) for i in range(j, k + 1))
+            assert sol.b(j) == ZMonomial(Fraction((-1) ** j * q_j, 4**k), j)
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_solution_satisfies_matrix_equation(k):
     sol = solve_branch_system(k)

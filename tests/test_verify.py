@@ -3,11 +3,12 @@
 import functools
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
-from thetagw import core, verify
+from thetagw import core, spin, verify
 from thetagw.cli import main
 from thetagw.core import descendant_multisets
 from thetagw.invariants import InvariantQuery
@@ -90,8 +91,8 @@ def test_each_sweep_counts_its_cases(hmax, kmax, alpha_budget):
 
 
 def test_a_sweep_with_no_case_fails():
-    check = verify._cases("empty", str, iter(()))
-    assert not check.passed
+    check = verify._cases("empty", str, lambda: ())
+    assert (check.passed, check.lhs) == (False, "no cases")
 
 
 def test_a_failing_sweep_formats_its_first_failing_case_alone():
@@ -110,7 +111,7 @@ def test_a_failing_sweep_formats_its_first_failing_case_alone():
             formatted.append(self.n)
             return str(self.n)
 
-    check = verify._cases("signs", lambda i: f"i={i}", (
+    check = verify._cases("signs", lambda i: f"i={i}", lambda: (
         ((i,), Value(i), Value(-i if i % 3 == 1 else i)) for i in range(10)
     ))
     assert not check.passed
@@ -118,8 +119,22 @@ def test_a_failing_sweep_formats_its_first_failing_case_alone():
     assert formatted == [1, -1]
 
 
+def test_a_failing_value_past_the_int_str_digit_limit_names_its_case(monkeypatch):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    huge = Fraction(2**20000 + 1, 3)
+    monkeypatch.setattr(spin, "signed_double_cover_sum", lambda h, parity, variant: huge)
+    checks = {c.name: c for c in run_suite("etale").checks}
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert [c.name for c in checks.values() if c.passed] == ["etale/double_cover_chi[h<=12]"]
+    with core.unlimited_digits():
+        text = f"{huge.numerator}/3"
+    assert len(text) > 6000
+    check = checks["etale/unweighted_closed_form[h<=12]"]
+    assert (check.lhs, check.rhs) == (f"26 of 26 cases differ, first at h=0,parity=0: {text}", "1")
+
+
 def test_values_are_formatted_exactly():
-    check = verify._eq("pair", (Fraction(1, 80), Fraction(1, 5)), (Fraction(1, 80), 0))
+    check = verify._eq("pair", lambda: (Fraction(1, 80), Fraction(1, 5)), (Fraction(1, 80), 0))
     assert (check.passed, check.lhs, check.rhs) == (False, "(1/80, 1/5)", "(1/80, 0)")
     nested = {(1, 1): [Fraction(-1, 2)], "z": ZMonomial(Fraction(3, 4), 2)}
     assert verify._text(nested) == "{(1, 1): [-1/2], z: ZMonomial(coeff=3/4, exp=2)}"
