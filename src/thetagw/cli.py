@@ -85,13 +85,6 @@ def _csv_fields(*fields) -> str:
     return buf.getvalue()
 
 
-def _json_float(x: float) -> str:
-    """The json encoder's text of a float (Infinity for an overflow)."""
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return repr(x)
-
-
 def _fixed_fields(fmt: str, parity: str, alphas: tuple[int, ...]) -> str:
     """The row text between h and chi, which depends only on the multiset."""
     joined = ",".join(map(str, alphas))
@@ -119,7 +112,7 @@ def _write_rows(degree: int, parity: str, blocks, fmt: str, with_float: bool) ->
     if fmt == "json":
         lead = f'{{"degree": {degree}, "h": '
         value_open, value_close, end = ', "value": "', '"', "}\n"
-        float_open, float_text = ', "value_float": ', _json_float
+        float_open, float_text = ', "value_float": ', json.dumps
     elif fmt == "csv":
         header = ["degree", "h", "parity", "alphas", "chi", "value"]
         if with_float:

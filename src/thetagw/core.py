@@ -24,7 +24,6 @@ import sys
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from contextlib import contextmanager
-from contextvars import ContextVar
 
 # "module.name" of every function marked with @op.
 OPS: set[str] = set()
@@ -34,20 +33,19 @@ OPS: set[str] = set()
 # by these names.
 SUITE_NAMES = ("degeneration", "hankel", "torsion", "parity", "etale", "all")
 
-_running_ops: ContextVar[set[str] | None] = ContextVar("running_ops", default=None)
+# The set each op call notes its name in; recording_ops swaps in its own.
+_ran: set[str] = set()
 
 
 def op(fn):
     """Register ``fn`` as an operation the verify suites must exercise, and
-    note each call to it inside :func:`recording_ops`."""
+    note each call to it in the set :func:`recording_ops` has swapped in."""
     name = f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}"
     OPS.add(name)
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        seen = _running_ops.get()
-        if seen is not None:
-            seen.add(name)
+        _ran.add(name)
         return fn(*args, **kwargs)
 
     return wrapper
@@ -55,13 +53,14 @@ def op(fn):
 
 @contextmanager
 def recording_ops():
-    """Yield the set of registered op names that run inside the block."""
-    seen: set[str] = set()
-    token = _running_ops.set(seen)
+    """Yield the set of registered op names that run inside the block.  The
+    set in use before is put back on exit, missing the block's ops."""
+    global _ran
+    outer, _ran = _ran, set()
     try:
-        yield seen
+        yield _ran
     finally:
-        _running_ops.reset(token)
+        _ran = outer
 
 
 @contextmanager
@@ -87,7 +86,7 @@ def binomial(n: int, k: int) -> int:
     """C(n, k), zero outside 0 <= k <= n."""
     if n < 0:
         raise ValueError("binomial requires n >= 0")
-    if k < 0 or k > n:
+    if k < 0:
         return 0
     return math.comb(n, k)
 
@@ -161,8 +160,6 @@ def required_chi(d: int, h: int, alphas) -> int:
 def descendant_multisets(max_len: int, max_total: int) -> Iterator[tuple[int, ...]]:
     """Weakly increasing exponent tuples with length <= max_len and sum
     <= max_total, ordered by length then lexicographically."""
-    yield ()
-
     def rec(n: int, lo: int, budget: int):
         if n == 0:
             yield ()
@@ -171,5 +168,5 @@ def descendant_multisets(max_len: int, max_total: int) -> Iterator[tuple[int, ..
             for rest in rec(n - 1, p, budget - p):
                 yield (p,) + rest
 
-    for n in range(1, max_len + 1):
+    for n in range(max_len + 1):
         yield from rec(n, 0, max_total)

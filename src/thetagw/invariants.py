@@ -145,9 +145,9 @@ def value_table(d: int, parity: int, hmax: int, alpha_budget: int):
 
     Each multiset is evaluated once, at h = 0: the degree-1 value does not
     depend on h, so degree 1 yields the same rows tuple for every h, and the
-    degree-2 value is 2^h times it, so degree 2 yields a new tuple per genus,
-    each pair doubled in integers (an even den gives up a factor of 2,
-    otherwise num is shifted left)."""
+    degree-2 value is 2^h times it, so degree 2 doubles the previous rows
+    before it yields each genus past 0, each pair in integers (an even den
+    gives up a factor of 2, otherwise num is shifted left)."""
     if hmax < 0:
         raise ValueError("hmax must be >= 0")
     rows = []
@@ -156,12 +156,12 @@ def value_table(d: int, parity: int, hmax: int, alpha_budget: int):
         rows.append((alphas, value.numerator, value.denominator))
     rows = tuple(rows)
     for h in range(hmax + 1):
-        yield h, rows
-        if d == 2 and h < hmax:
+        if d == 2 and h:
             rows = tuple([
                 (alphas, num, den >> 1) if den & 1 == 0 else (alphas, num << 1, den)
                 for alphas, num, den in rows
             ])
+        yield h, rows
 
 
 class TwistedBreakdown(namedtuple("TwistedBreakdown", "h per_etale etale_count branched_part")):

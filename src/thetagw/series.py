@@ -39,14 +39,10 @@ class TruncatedSeries:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order: int):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [Fraction(c) for c in coeffs][:order]
         if order < 1:
             raise ValueError("truncation order must be >= 1")
-        if len(cs) < order:
-            cs.extend([Fraction(0)] * (order - len(cs)))
-        else:
-            cs = cs[:order]
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(cs) + (Fraction(0),) * (order - len(cs))
         self.order = order
 
     # -- ring operations ----------------------------------------------

@@ -50,12 +50,11 @@ class ParityCensus(namedtuple("ParityCensus", "h total even_count")):
 
 @op
 def parity_census(h: int) -> ParityCensus:
-    """Closed-form census: 2^{h-1}(2^h + 1) even parities out of 2^{2h}
-    (a single even one when h = 0)."""
+    """Closed-form census: 2^h(2^h + 1)/2 even parities out of 2^{2h}."""
     if h < 0:
         raise ValueError("genus must be >= 0")
     total = 2 ** (2 * h)
-    even = 1 if h == 0 else 2 ** (h - 1) * (2**h + 1)
+    even = 2**h * (2**h + 1) // 2
     return ParityCensus(h=h, total=total, even_count=even)
 
 

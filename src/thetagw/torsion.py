@@ -96,7 +96,7 @@ def build_ledger(h: int) -> TorsionLedger:
     )
     lam_pp = tuple(
         binomial(2 * h + 2, h - 3 - 2 * r) for r in range((h - 3) // 2 + 1)
-    ) if h >= 3 else ()
+    )
     return TorsionLedger(h=h, a=a, b=b, lambda_prime=lam_p, lambda_dblprime=lam_pp)
 
 

@@ -85,8 +85,9 @@ def _text(value) -> str:
 
 def _eq(name: str, lhs: Callable[[], object], rhs) -> Check:
     try:
-        value = lhs()
-        return Check(name, value == rhs, _text(value), _text(rhs))
+        with unlimited_digits():
+            value = lhs()
+            return Check(name, value == rhs, _text(value), _text(rhs))
     except Exception as exc:
         return Check(name, False, f"{type(exc).__name__}: {exc}", "no exception")
 
@@ -99,16 +100,17 @@ def _cases(name: str, label: Callable[..., str], cases: Callable[[], Iterable[tu
     and its two values are formatted."""
     count = wrong = 0
     try:
-        for key, lhs, rhs in cases():
-            if lhs != rhs:
-                wrong += 1
-                if wrong == 1:
-                    first = key, lhs, rhs
-            count += 1
-        if wrong:
-            key, lhs, rhs = first
-            lhs = f"{wrong} of {count} cases differ, first at {label(*key)}: {_text(lhs)}"
-            return Check(name, False, lhs, _text(rhs))
+        with unlimited_digits():
+            for key, lhs, rhs in cases():
+                if lhs != rhs:
+                    wrong += 1
+                    if wrong == 1:
+                        first = key, lhs, rhs
+                count += 1
+            if wrong:
+                key, lhs, rhs = first
+                lhs = f"{wrong} of {count} cases differ, first at {label(*key)}: {_text(lhs)}"
+                return Check(name, False, lhs, _text(rhs))
     except Exception as exc:
         return Check(name, False, f"{type(exc).__name__}: {exc} after {count} cases", "no exception")
     if not count:
@@ -119,11 +121,15 @@ def _cases(name: str, label: Callable[..., str], cases: Callable[[], Iterable[tu
 
 def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
     """Determinant by fraction-free Bareiss elimination, exact throughout;
-    the oracle for the closed-form Hankel determinants."""
-    m = [list(r) for r in rows]
+    the oracle for the closed-form Hankel determinants.  Each row is scaled
+    to integers by the lcm of its denominators, so every division in the
+    elimination is exact in integers, and the determinant is divided once by
+    the product of the scales."""
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    m = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(rows, scales)]
     n = len(m)
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for i in range(n - 1):
         if m[i][i] == 0:
             for r in range(i + 1, n):
@@ -135,10 +141,9 @@ def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
                 return Fraction(0)
         for r in range(i + 1, n):
             for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) / prev
-            m[r][i] = Fraction(0)
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
         prev = m[i][i]
-    return sign * m[-1][-1]
+    return Fraction(sign * m[-1][-1], math.prod(scales))
 
 
 def _beta_weight(a: int) -> Fraction:
@@ -546,9 +551,9 @@ def run_suite(suite: str, **bounds: int | None) -> Report:
     suite gets the bounds it takes, and a bound left as None takes the
     suite's own default; a bound that no suite takes is a ValueError.
 
-    A check that raises fails alone (see :func:`_cases`), with the int->str
-    digit limit lifted while checks format their values.  Coverage is the
-    set of registered ops that ran.
+    A check that raises fails alone (see :func:`_cases`); each check lifts
+    the int->str digit limit inside its own ``try``, so a fault in lifting it
+    fails the check too.  Coverage is the set of registered ops that ran.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -557,7 +562,7 @@ def run_suite(suite: str, **bounds: int | None) -> Report:
         raise ValueError(f"no suite takes the bound {', '.join(sorted(unknown))}")
     names = list(_SUITE_FUNCS) if suite == "all" else [suite]
     checks: list[Check] = []
-    with recording_ops() as exercised, unlimited_digits():
+    with recording_ops() as exercised:
         for name in names:
             given = {k: v for k, v in bounds.items() if k in _BOUNDS[name] and v is not None}
             checks.extend(_SUITE_FUNCS[name](**given))

@@ -142,6 +142,7 @@ def test_descendant_multisets_order_and_bounds():
     assert len(sets) == len(set(sets))
     # 1 empty + 7 singles + 16 pairs + 23 triples + 27 quadruples
     assert len(sets) == 74
+    assert list(descendant_multisets(0, 3)) == list(descendant_multisets(0, 0)) == [()]
 
 
 def test_op_registry_holds_exactly_the_verified_operations():
@@ -193,6 +194,15 @@ def test_recording_ops_sees_nested_calls_and_only_inside_the_block():
         invariants.descendant_block(2)
     spin.parity_census(1)
     assert ran == {"torsion.torsion_degrees", "torsion.build_ledger"}
+    # a nested block records into its own set; the outer one misses its ops
+    # and records again after it
+    with recording_ops() as outer:
+        spin.parity_census(1)
+        with recording_ops() as inner:
+            torsion.build_ledger(2)
+        invariants.degree1(invariants.InvariantQuery(1, 0, 0))
+    assert inner == {"torsion.build_ledger"}
+    assert outer == {"spin.parity_census", "invariants.degree1"}
 
 
 def test_records_are_tuples_that_check_their_fields_when_built():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,53 @@ def test_bareiss_pivots_and_singular_matrices():
     assert _bareiss_det([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == 5 * (4 - 6)
     # a zero column below the pivot: no row to swap in
     assert _bareiss_det([[0, 1], [0, 2]]) == 0
+
+
+def _fraction_bareiss(rows: list[list[Fraction]]) -> Fraction:
+    """Bareiss elimination in `Fraction`s throughout: the oracle for the
+    row-scaled integer elimination of `verify._bareiss_det`."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign = 1
+    prev = Fraction(1)
+    for i in range(n - 1):
+        if m[i][i] == 0:
+            for r in range(i + 1, n):
+                if m[r][i] != 0:
+                    m[i], m[r] = m[r], m[i]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) / prev
+            m[r][i] = Fraction(0)
+        prev = m[i][i]
+    return sign * m[-1][-1]
+
+
+def test_integer_bareiss_matches_fraction_elimination():
+    rng = random.Random(33)
+    matrices = []
+    for n in range(1, 7):
+        for _ in range(15):
+            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+                    for _ in range(n)]
+            matrices.append(rows)
+            # a zero leading pivot
+            matrices.append([[Fraction(0)] + rows[0][1:], *rows[1:]])
+            if n >= 2:
+                # a zero second pivot: the leading 2x2 minor vanishes
+                second = [3 * x for x in rows[0][:2]] + rows[1][2:]
+                matrices.append([rows[0], second, *rows[2:]])
+                # singular: the last row a multiple of the first
+                matrices.append([*rows[:-1], [Fraction(-5, 7) * x for x in rows[0]]])
+    matrices.append([[2, 3], [4, 5]])  # plain ints
+    for rows in matrices:
+        det = _bareiss_det(rows)
+        assert type(det) is Fraction
+        assert det == _fraction_bareiss(rows), rows
 
 
 def test_hankel_det_validation():

@@ -105,6 +105,14 @@ def test_value_table_rows_in_genus_major_order():
         ]
         # each pair in lowest terms with a positive denominator
         assert all(den > 0 and math.gcd(num, den) == 1 for _, _, num, den in rows)
+    # at hmax = 0 degree 2 yields the h = 0 block alone, undoubled
+    for parity in (0, 1):
+        (block,) = value_table(2, parity, 0, 2)
+        assert block == (0, tuple(
+            (alphas, v.numerator, v.denominator)
+            for alphas in descendant_multisets(2, 2)
+            for v in [evaluate(InvariantQuery(2, 0, parity, alphas))]
+        ))
     with pytest.raises(ValueError):
         list(value_table(1, 0, -1, 2))
     with pytest.raises(ValueError):

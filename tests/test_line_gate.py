@@ -33,7 +33,7 @@ NAMED = {
     ("verify.py", 'return Check(name, False, "no cases", "at least one case")'):
         "every suite floors its bounds, so no sweep is empty",
     ("core.py", "return 0"):
-        "no caller asks for a binomial outside 0 <= k <= n",
+        "no caller asks for a binomial with k < 0",
 }
 
 SCRIPT = r'''

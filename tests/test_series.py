@@ -46,6 +46,9 @@ def test_truncation_is_min_of_operand_orders():
     assert (a - b).order == 2
     with pytest.raises(ValueError):
         TruncatedSeries([1], 0)
+    # coefficients past the order are dropped, missing ones are zero
+    assert series_of(1, 2, 3, 4, order=2).coeffs == (1, 2)
+    assert series_of(1, order=3).coeffs == (1, 0, 0)
 
 
 def test_z_order_sentinel():

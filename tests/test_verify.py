@@ -133,6 +133,18 @@ def test_a_failing_value_past_the_int_str_digit_limit_names_its_case(monkeypatch
     assert (check.lhs, check.rhs) == (f"26 of 26 cases differ, first at h=0,parity=0: {text}", "1")
 
 
+def test_a_fault_in_lifting_the_digit_limit_fails_the_checks(monkeypatch):
+    def stuck():
+        raise RuntimeError("digit limit stuck")
+
+    monkeypatch.setattr(verify, "unlimited_digits", stuck)
+    *checks, coverage = run_suite("all").checks
+    assert len(checks) == 48
+    assert all(not c.passed and c.lhs.startswith("RuntimeError: digit limit stuck") for c in checks)
+    assert coverage == ("coverage/all-operations-exercised", False,
+                        "missing: " + ", ".join(sorted(core.OPS)), "complete")
+
+
 def test_values_are_formatted_exactly():
     check = verify._eq("pair", lambda: (Fraction(1, 80), Fraction(1, 5)), (Fraction(1, 80), 0))
     assert (check.passed, check.lhs, check.rhs) == (False, "(1/80, 1/5)", "(1/80, 0)")
