@@ -44,29 +44,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _bounded(name: str, low: int, high: int | None = None):
+    """An argparse ``type`` for an int in [low, high] (no upper end when high
+    is None); a value out of range is a UsageError naming ``name``."""
+
+    def parse(text) -> int:
+        value = int(text)
+        if value < low:
+            raise UsageError(f"{name} must be >= {low}")
+        if high is not None and value > high:
+            raise UsageError(f"{name} must be <= {high}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
 def _parse_alphas(text: str) -> tuple[int, ...]:
+    """The argparse ``type`` of --alphas: a comma list of exponents, each in
+    [0, MAX_EXPONENT]."""
     text = text.strip()
     if not text:
         return ()
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(map(_bounded("descendant exponents", 0, MAX_EXPONENT), text.split(",")))
     except ValueError:
         raise UsageError(f"alphas must be a comma list of integers, got {text!r}")
-    if any(v < 0 for v in values):
-        raise UsageError("descendant exponents must be >= 0")
-    if any(v > MAX_EXPONENT for v in values):
-        raise UsageError(f"descendant exponents must be <= {MAX_EXPONENT}")
-    return values
-
-
-def _require_positive(name: str, value: int | None) -> None:
-    if value is not None and value < 1:
-        raise UsageError(f"{name} must be >= 1")
-
-
-def _require_genus_limit(name: str, value: int | None) -> None:
-    if value is not None and value > MAX_GENUS:
-        raise UsageError(f"{name} must be <= {MAX_GENUS}")
 
 
 def _to_float(num: int, den: int) -> float:
@@ -151,20 +154,13 @@ def _write_rows(degree: int, parity: str, blocks, fmt: str, with_float: bool) ->
 
 
 def _cmd_invariant(args) -> int:
-    if args.genus < 0:
-        raise UsageError("genus must be >= 0")
-    _require_genus_limit("genus", args.genus)
-    alphas = _parse_alphas(args.alphas)
-    value = evaluate(InvariantQuery(args.degree, args.genus, _PARITY[args.parity], alphas))
-    block = (args.genus, ((alphas, value.numerator, value.denominator),))
+    value = evaluate(InvariantQuery(args.degree, args.genus, _PARITY[args.parity], args.alphas))
+    block = (args.genus, ((args.alphas, value.numerator, value.denominator),))
     _write_rows(args.degree, args.parity, [block], args.format, args.float)
     return 0
 
 
 def _cmd_table(args) -> int:
-    _require_positive("hmax", args.hmax)
-    _require_genus_limit("hmax", args.hmax)
-    _require_positive("alpha-budget", args.alpha_budget)
     blocks = value_table(args.degree, _PARITY[args.parity], args.hmax, args.alpha_budget)
     _write_rows(args.degree, args.parity, blocks, args.format, args.float)
     return 0
@@ -203,11 +199,8 @@ def _cmd_verify(args) -> int:
 
     taken = suite_bounds(args.suite)
     for name in ("hmax", "kmax", "alpha_budget"):
-        flag, value = name.replace("_", "-"), getattr(args, name)
-        if value is not None and name not in taken:
-            raise UsageError(f"--{flag} does not apply to suite {args.suite!r}")
-        _require_positive(flag, value)
-    _require_genus_limit("hmax", args.hmax)
+        if getattr(args, name) is not None and name not in taken:
+            raise UsageError(f"--{name.replace('_', '-')} does not apply to suite {args.suite!r}")
     report = run_suite(
         args.suite, hmax=args.hmax, kmax=args.kmax, alpha_budget=args.alpha_budget
     )
@@ -218,29 +211,32 @@ def _cmd_verify(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="thetagw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    hmax, budget = _bounded("hmax", 1, MAX_GENUS), _bounded("alpha-budget", 1)
 
     inv = sub.add_parser("invariant", help="evaluate one invariant")
     inv.add_argument("--degree", type=int, choices=(1, 2), required=True)
-    inv.add_argument("--genus", type=int, required=True, help="genus h of the base curve")
+    inv.add_argument("--genus", type=_bounded("genus", 0, MAX_GENUS), required=True,
+                     help="genus h of the base curve")
     inv.add_argument("--parity", choices=("even", "odd"), required=True)
-    inv.add_argument("--alphas", default="", help="comma list of descendant exponents")
+    inv.add_argument("--alphas", type=_parse_alphas, default="",
+                     help="comma list of descendant exponents")
     inv.add_argument("--format", choices=("text", "json", "csv"), default="text")
     inv.add_argument("--float", action="store_true", help="add a decimal column")
     inv.set_defaults(func=_cmd_invariant)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    ver.add_argument("--hmax", type=int, default=None)
-    ver.add_argument("--kmax", type=int, default=None)
-    ver.add_argument("--alpha-budget", dest="alpha_budget", type=int, default=None)
+    ver.add_argument("--hmax", type=hmax, default=None)
+    ver.add_argument("--kmax", type=_bounded("kmax", 1), default=None)
+    ver.add_argument("--alpha-budget", dest="alpha_budget", type=budget, default=None)
     ver.add_argument("--format", choices=("text", "json", "csv"), default="text")
     ver.set_defaults(func=_cmd_verify)
 
     tab = sub.add_parser("table", help="emit a grid of invariant values")
     tab.add_argument("--degree", type=int, choices=(1, 2), required=True)
-    tab.add_argument("--hmax", type=int, required=True)
+    tab.add_argument("--hmax", type=hmax, required=True)
     tab.add_argument("--parity", choices=("even", "odd"), required=True)
-    tab.add_argument("--alpha-budget", dest="alpha_budget", type=int, default=2)
+    tab.add_argument("--alpha-budget", dest="alpha_budget", type=budget, default=2)
     tab.add_argument("--format", choices=("csv", "json"), default="csv")
     tab.add_argument("--float", action="store_true")
     tab.set_defaults(func=_cmd_table)
@@ -249,10 +245,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
         with unlimited_digits():
+            args = build_parser().parse_args(argv)
             return args.func(args)
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

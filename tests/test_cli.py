@@ -1,9 +1,11 @@
+import argparse
 import csv
 import hashlib
 import io
 import itertools
 import json
 import math
+import random
 import sys
 import tracemalloc
 import types
@@ -525,7 +527,7 @@ def test_a_shared_input_that_raises_fails_exactly_its_readers(capsys, monkeypatc
     assert "Traceback" not in out + err
     reported = [line for line in out.splitlines() if line.startswith(("PASS ", "FAIL "))]
     verdicts = {line.split(" ")[1]: line for line in reported}
-    assert len(reported) == len(verdicts) == 49
+    assert len(reported) == len(verdicts) == 50
     # every other check passes, and each reader fails on the exception
     assert {check for check, line in verdicts.items() if line.startswith("FAIL ")} == readers
     for check in readers - {"coverage/all-operations-exercised"}:
@@ -602,3 +604,147 @@ def test_unexpected_exception_exits_3_with_json(capsys, monkeypatch):
     )
     assert (code, out) == (3, "")
     assert json.loads(errtext) == {"error": "RuntimeError: evaluator exploded"}
+
+
+def _exit(argv) -> int:
+    """cli.main's exit code, also when argparse ends the call itself."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# each bounded option: its argv, where "{}" stands for the value, the
+# attribute it parses to, the name its range errors give, and its least and
+# greatest value (None: no upper end)
+BOUNDED = {
+    "invariant-genus": (("invariant", "--degree", "1", "--parity", "even", "--genus", "{}"),
+                        "genus", "genus", 0, MAX_GENUS),
+    "invariant-alphas": (("invariant", "--degree", "1", "--genus", "1", "--parity", "even",
+                          "--alphas", "{}"), "alphas", "descendant exponents", 0, MAX_EXPONENT),
+    "table-hmax": (("table", "--degree", "1", "--parity", "even", "--hmax", "{}"),
+                   "hmax", "hmax", 1, MAX_GENUS),
+    "table-alpha-budget": (("table", "--degree", "1", "--parity", "even", "--hmax", "1",
+                            "--alpha-budget", "{}"), "alpha_budget", "alpha-budget", 1, None),
+    "verify-hmax": (("verify", "--suite", "torsion", "--hmax", "{}"),
+                    "hmax", "hmax", 1, MAX_GENUS),
+    "verify-kmax": (("verify", "--suite", "hankel", "--kmax", "{}"), "kmax", "kmax", 1, None),
+    "verify-alpha-budget": (("verify", "--suite", "degeneration", "--hmax", "1",
+                             "--alpha-budget", "{}"), "alpha_budget", "alpha-budget", 1, None),
+}
+
+
+def _argv(template, value) -> list[str]:
+    return [token.replace("{}", str(value)) for token in template]
+
+
+@pytest.mark.parametrize("option", BOUNDED)
+def test_each_bounded_option_rejects_one_past_either_end(capsys, option):
+    template, _, name, least, greatest = BOUNDED[option]
+    past = [(least - 1, f"{name} must be >= {least}")]
+    if greatest is not None:
+        past.append((greatest + 1, f"{name} must be <= {greatest}"))
+    for value, message in past:
+        assert run_cli(capsys, *_argv(template, value)) == (
+            2, "", json.dumps({"error": message}) + "\n"
+        )
+
+
+@pytest.mark.parametrize("option", BOUNDED)
+def test_each_bounded_option_accepts_both_ends(capsys, option):
+    template, dest, _, least, greatest = BOUNDED[option]
+    code, out, err = run_cli(capsys, *_argv(template, least))
+    assert (code, err) == (0, "") and out
+    # the greatest value (a large one where there is none) is only parsed,
+    # so no huge run starts, but for the degree-1 genus, which runs at once
+    top = 10**9 if greatest is None else greatest
+    parsed = getattr(cli.build_parser().parse_args(_argv(template, top)), dest)
+    assert parsed == ((top,) if dest == "alphas" else top)
+    if option == "invariant-genus":
+        code, out, err = run_cli(capsys, *_argv(template, top), "--format", "json")
+        assert (code, err) == (0, "") and json.loads(out)["h"] == top
+
+
+@pytest.mark.parametrize("option", [o for o in BOUNDED if o != "invariant-alphas"])
+def test_a_non_integer_bound_keeps_argparses_message(capsys, option):
+    template, *_ = BOUNDED[option]
+    flag = template[-2]
+    for text in ("x", "", "1,,2"):
+        assert _exit(_argv(template, text)) == 2
+        message = json.dumps({"error": f"argument {flag}: invalid int value: {text!r}"})
+        assert capsys.readouterr() == ("", message + "\n")
+
+
+def test_no_subcommand_option_is_a_bare_int():
+    (subcommands,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    for name, parser in subcommands.choices.items():
+        for action in parser._actions:
+            assert action.type is not int or action.choices, (name, action.option_strings)
+
+
+def _fuzz_argv(rng: random.Random) -> list[str]:
+    """One argv for a random subcommand.  Each value is valid and small
+    enough to run at once, or now and then malformed text or an integer just
+    past an end of its range; a required option is left out now and then,
+    and a verify bound that the suite does not take is given now and then."""
+    junk = ("x", "", "1,,2", "2.0", "-1")
+
+    def pick(valid, *ends):
+        return rng.choice(junk + ends) if rng.random() < 0.12 else rng.choice(valid)
+
+    def numbers(low, high, *more):
+        return [str(n) for n in range(low, high + 1)] + list(more)
+
+    command = rng.choice(("invariant", "table", "verify"))
+    over = str(MAX_GENUS + 1)
+    if command == "invariant":
+        degree = pick(["1", "2"], "3")
+        # the greatest genus runs at once in degree 1 alone
+        top = [str(MAX_GENUS - 1), str(MAX_GENUS)] if degree == "1" else []
+        exponents = numbers(0, 4, "1_0")
+        parts = [pick(exponents, str(MAX_EXPONENT + 1)) for _ in range(rng.randrange(4))]
+        if rng.random() < 0.02:
+            parts.append(rng.choice((str(MAX_EXPONENT - 1), str(MAX_EXPONENT))))
+        options = {"--degree": degree, "--genus": pick(numbers(0, 20, "1_0", *top), over),
+                   "--parity": pick(["even", "odd"]), "--alphas": ",".join(parts)}
+    elif command == "table":
+        options = {"--degree": pick(["1", "2"]), "--hmax": pick(numbers(1, 20, "1_0"), "0", over),
+                   "--parity": pick(["even", "odd"]), "--alpha-budget": pick(numbers(1, 4), "0"),
+                   "--format": pick(["csv", "json"])}
+    else:
+        suite = pick(list(verify.SUITE_NAMES))
+        taken = verify.suite_bounds(suite) if suite in verify.SUITE_NAMES else set()
+        bounds = {"hmax": pick(numbers(1, 6, "1_0"), "0", over),
+                  "kmax": pick(numbers(1, 4), "0"), "alpha_budget": pick(numbers(1, 4), "0")}
+        options = {"--suite": suite, "--format": pick(["text", "json", "csv"])}
+        for name, value in bounds.items():
+            if rng.random() < (0.95 if name in taken else 0.08):
+                options["--" + name.replace("_", "-")] = value
+    argv = [command]
+    for flag, value in options.items():
+        if rng.random() < 0.97:
+            argv += [flag, value]
+    if command != "verify" and rng.random() < 0.3:
+        argv.append("--float")
+    return argv
+
+
+def test_fuzzed_argv_exits_0_or_2_and_never_with_a_traceback(capsys):
+    rng = random.Random(2026)
+    seen = set()
+    for _ in range(500):
+        argv = _fuzz_argv(rng)
+        code = _exit(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 2), argv
+        assert "Traceback" not in captured.err, argv
+        if code == 2:
+            assert (captured.out, captured.err.count("\n")) == ("", 1), argv
+            assert isinstance(json.loads(captured.err)["error"], str), argv
+        else:
+            assert captured.err == "", argv
+        seen.add((argv[0], code))
+    assert seen == set(itertools.product(("invariant", "table", "verify"), (0, 2)))

@@ -245,7 +245,7 @@ def test_residual_of_solved_k1_system_by_direct_expansion():
     f1 = b1 + d1
     by_hand = [0, 2 * f1 - 2 * b1 + 1, f1**2 - b1**2 + 2 * b1, b1**2]
     assert by_hand == [0, 0, 0, Fraction(1, 16)]
-    assert _branch_residual(1) == TruncatedSeries(by_hand, 4)
+    assert _branch_residual(1, [sqrt_coeff(0), sqrt_coeff(1)]) == TruncatedSeries(by_hand, 4)
 
 
 def _pade_pair(k):
@@ -272,4 +272,5 @@ def test_branch_candidate_is_the_pade_approximant(k):
     ]
     assert f == [Fraction(c, 4**k) for c in p]
     expected = [0] * (2 * k + 1) + [Fraction(1, 16**k)]
-    assert _branch_residual(k) == TruncatedSeries(expected, 2 * k + 2)
+    root = [sqrt_coeff(j) for j in range(k + 1)]
+    assert _branch_residual(k, root) == TruncatedSeries(expected, 2 * k + 2)

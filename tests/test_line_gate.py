@@ -106,7 +106,8 @@ mutants = [
      ["--suite", "degeneration", "--hmax", "1", "--alpha-budget", "1"]),
     # constant and z terms in the k = 1 residual
     (mock.patch.object(verify, "_branch_residual",
-                       lambda k: residual(k) + TruncatedSeries([1, 1], 4) if k == 1 else residual(k)),
+                       lambda k, coeffs: residual(k, coeffs) + TruncatedSeries([1, 1], 4)
+                       if k == 1 else residual(k, coeffs)),
      ["--suite", "hankel", "--kmax", "1", "--format", "json"]),
     (mock.patch.object(hankel, "hankel_det", raising),
      ["--suite", "hankel", "--kmax", "1", "--format", "csv"]),

@@ -139,7 +139,7 @@ def test_a_fault_in_lifting_the_digit_limit_fails_the_checks(monkeypatch):
 
     monkeypatch.setattr(verify, "unlimited_digits", stuck)
     *checks, coverage = run_suite("all").checks
-    assert len(checks) == 48
+    assert len(checks) == 49
     assert all(not c.passed and c.lhs.startswith("RuntimeError: digit limit stuck") for c in checks)
     assert coverage == ("coverage/all-operations-exercised", False,
                         "missing: " + ", ".join(sorted(core.OPS)), "complete")
