@@ -35,13 +35,12 @@ _PARITY = {"even": 0, "odd": 1}
 
 
 class UsageError(Exception):
-    pass
+    """A usage error, argparse's own included; main prints it and returns 2."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        print(json.dumps({"error": message}), file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError(message)
 
 
 def _bounded(name: str, low: int, high: int | None = None):

@@ -12,8 +12,9 @@ the other modules, and the checks and reports of `verify`) are
 library's frozen-record decorator would import `inspect`, which costs more
 start-up than everything a ``table`` or ``invariant`` process computes for
 a small query.  A record is a tuple: it equals the plain tuple of its
-fields and iterates over them.  A record that checks its fields does so in
-``__new__``, when it is constructed; ``_replace`` does not check them again.
+fields, iterates over them, and prints in a verify report as that tuple.
+A record that checks its fields does so in ``__new__``, when it is
+constructed; ``_replace`` does not check them again.
 """
 
 from __future__ import annotations
@@ -123,19 +124,15 @@ def partitions_of(d: int) -> list[Partition]:
     """All partitions of ``d`` in lexicographic order of their part tuples."""
     if d < 1:
         raise ValueError("partitions_of requires d >= 1")
-    out: list[Partition] = []
-
-    def rec(remaining: int, lo: int, prefix: list[int]) -> None:
+    def rec(remaining: int, lo: int):
         if remaining == 0:
-            out.append(Partition(tuple(prefix)))
+            yield ()
             return
         for p in range(lo, remaining + 1):
-            prefix.append(p)
-            rec(remaining - p, p, prefix)
-            prefix.pop()
+            for rest in rec(remaining - p, p):
+                yield (p,) + rest
 
-    rec(d, 1, [])
-    return out
+    return [Partition(parts) for parts in rec(d, 1)]
 
 
 def required_chi(d: int, h: int, alphas) -> int:

@@ -76,8 +76,6 @@ def descendant_block(a: int) -> Fraction:
 def _weight(a: int) -> int:
     """(2a+1)!/a! = (a+1)(a+2)...(2a+1), the reciprocal of one insertion's
     weight a!/(2a+1)!."""
-    if a < 0:
-        raise ValueError("descendant exponent must be >= 0")
     return math.perm(2 * a + 1, a + 1)
 
 

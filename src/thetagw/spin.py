@@ -92,9 +92,10 @@ def signed_double_cover_sum(h: int, parity: int, variant: str) -> Fraction:
     variants:
       unweighted  every cover counts with weight 1
       weighted    weight 1/|Aut(u)| = 1/2
+
+    A negative genus is rejected by :func:`parity_census`, after the parity
+    and the variant are checked.
     """
-    if h < 0:
-        raise ValueError("genus must be >= 0")
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     if variant not in VARIANTS:

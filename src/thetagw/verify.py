@@ -67,13 +67,10 @@ class Report(namedtuple("Report", "suite checks coverage")):
 
 def _text(value) -> str:
     """Exact text of a check value: a rational as num/den (see
-    :func:`thetagw.core.rational_str`), through records, shown as
-    ``Name(field=...)``, and through tuples, lists and dicts."""
+    :func:`thetagw.core.rational_str`), through tuples, records among them,
+    lists and dicts."""
     if isinstance(value, Fraction):
         return rational_str(value.numerator, value.denominator)
-    if hasattr(value, "_fields"):
-        fields = ", ".join(f"{f}={_text(v)}" for f, v in zip(value._fields, value))
-        return f"{type(value).__name__}({fields})"
     if isinstance(value, tuple):
         return "(" + ", ".join(map(_text, value)) + ("," if len(value) == 1 else "") + ")"
     if isinstance(value, list):
@@ -514,10 +511,11 @@ def suite_torsion(*, hmax: int = 50) -> Iterator[Check]:
         ((h, p), splits()[h, p]["grand_total"], invariants.degree2(InvariantQuery(2, h, p, (1,))))
         for h, p in itertools.product(range(2, top + 1), (0, 1))
     ))
-    # the tau_1 split part by part: the census gap times the (1)-contact bubble
-    # value -1/12, and the dominant term less half the cone-table ledger sum
+    # the tau_1 split part by part: the census gap's closed form 2^h times the
+    # (1)-contact bubble value -1/12, and the dominant term less half the
+    # cone-table ledger sum
     yield _cases(f"torsion/etale_total[h<={top}]", lambda h, p: f"h={h},parity={p}", lambda: (
-        ((h, p), d["etale_total"], (-1) ** p * spin.parity_census(h).gap * Fraction(-1, 12))
+        ((h, p), d["etale_total"], (-1) ** p * 2**h * Fraction(-1, 12))
         for (h, p), d in splits().items()
     ))
     yield _cases(f"torsion/branched_total[h<={top}]", lambda h, p: f"h={h},parity={p}", lambda: (

@@ -297,10 +297,11 @@ def test_invariant_matches_the_record_oracle(capsys, fmt):
 
 
 def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["invariant", "--degree", "5", "--genus", "1", "--parity", "even"])
-    assert err.value.code == 2
-    assert "error" in json.loads(capsys.readouterr().err)
+    code, _, errtext = run_cli(
+        capsys, "invariant", "--degree", "5", "--genus", "1", "--parity", "even",
+    )
+    assert code == 2
+    assert "error" in json.loads(errtext)
 
     code, _, errtext = run_cli(
         capsys, "invariant", "--degree", "1", "--genus", "-2", "--parity", "even",
@@ -321,6 +322,38 @@ def test_usage_errors_exit_2(capsys):
     )
     assert code == 2
     assert json.loads(errtext) == {"error": "descendant exponents must be >= 0"}
+
+
+# argparse's own errors, each with the message main prints
+ARGPARSE_ERRORS = {
+    "bad-choice": (["invariant", "--degree", "3", "--genus", "1", "--parity", "even"],
+                   "argument --degree: invalid choice: 3 (choose from 1, 2)"),
+    "missing-option": (["invariant", "--degree", "1", "--genus", "1"],
+                       "the following arguments are required: --parity"),
+    "unknown-option": (["table", "--degree", "1", "--hmax", "2", "--parity", "even", "--bogus"],
+                       "unrecognized arguments: --bogus"),
+    "no-subcommand": ([], "the following arguments are required: command"),
+    "unknown-subcommand": (["nope"], "argument command: invalid choice: 'nope' "
+                                     "(choose from 'invariant', 'verify', 'table')"),
+    "unknown-suite": (["verify", "--suite", "nope"], "argument --suite: invalid choice: 'nope' "
+                      "(choose from 'degeneration', 'hankel', 'torsion', 'parity', 'etale', 'all')"),
+    "non-integer": (["invariant", "--degree", "1", "--genus", "x", "--parity", "even"],
+                    "argument --genus: invalid int value: 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", ARGPARSE_ERRORS)
+def test_argparse_errors_return_2_through_main(capsys, case):
+    argv, message = ARGPARSE_ERRORS[case]
+    assert run_cli(capsys, *argv) == (2, "", json.dumps({"error": message}) + "\n")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["invariant", "--help"])
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: thetagw invariant") and err == ""
 
 
 def test_verify_suite_exit_codes(capsys):
@@ -482,7 +515,7 @@ SHARED_INPUTS = {
     }),
     "parity_census": ("spin", {
         "parity/census[h<=1]", "parity/census_gap[h<=3]", "parity/census_splits[h1+h2<=3]",
-        "parity/arf_oracle[h<=3]", "torsion/etale_total[h<=3]",
+        "parity/arf_oracle[h<=3]",
     }),
     "descendant_multisets": (None, {
         "degeneration/genus_scaling_grid[hmax=3,n<=4,sum<=2]",
@@ -606,14 +639,6 @@ def test_unexpected_exception_exits_3_with_json(capsys, monkeypatch):
     assert json.loads(errtext) == {"error": "RuntimeError: evaluator exploded"}
 
 
-def _exit(argv) -> int:
-    """cli.main's exit code, also when argparse ends the call itself."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 # each bounded option: its argv, where "{}" stands for the value, the
 # attribute it parses to, the name its range errors give, and its least and
 # greatest value (None: no upper end)
@@ -670,7 +695,7 @@ def test_a_non_integer_bound_keeps_argparses_message(capsys, option):
     template, *_ = BOUNDED[option]
     flag = template[-2]
     for text in ("x", "", "1,,2"):
-        assert _exit(_argv(template, text)) == 2
+        assert main(_argv(template, text)) == 2
         message = json.dumps({"error": f"argument {flag}: invalid int value: {text!r}"})
         assert capsys.readouterr() == ("", message + "\n")
 
@@ -737,7 +762,7 @@ def test_fuzzed_argv_exits_0_or_2_and_never_with_a_traceback(capsys):
     seen = set()
     for _ in range(500):
         argv = _fuzz_argv(rng)
-        code = _exit(argv)
+        code = main(argv)
         captured = capsys.readouterr()
         assert code in (0, 2), argv
         assert "Traceback" not in captured.err, argv

@@ -27,8 +27,17 @@ def test_query_validation():
         InvariantQuery(1, -1, 0, ())
     with pytest.raises(ValueError):
         InvariantQuery(1, 1, 2, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="descendant exponents must be >= 0"):
         InvariantQuery(1, 1, 0, (-1,))
+
+
+def test_a_negative_exponent_past_the_query_raises_in_math_perm():
+    # _weight has no guard of its own: the query rejects a negative exponent,
+    # and one slipped past it by _replace raises in math.perm
+    for d in (1, 2):
+        query = InvariantQuery(d, 1, 0, (1,))._replace(alphas=(1, -1))
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            evaluate(query)
 
 
 def test_degree1_values():

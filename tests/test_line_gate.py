@@ -72,10 +72,7 @@ verify.run_suite("all")
 
 def main(*argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return cli.main(list(argv))
-        except SystemExit as exc:
-            return exc.code
+        return cli.main(list(argv))
 
 
 codes = [
@@ -101,7 +98,7 @@ def raising(*args):
 
 
 mutants = [
-    # a sweep whose value is a record
+    # a sweep whose value has the wrong type
     (mock.patch.object(degeneration, "bubble_channel_11", lambda a: ZMonomial(bubble(a), 0)),
      ["--suite", "degeneration", "--hmax", "1", "--alpha-budget", "1"]),
     # constant and z terms in the k = 1 residual

@@ -5,6 +5,7 @@ import pytest
 from thetagw import invariants, torsion
 from thetagw.hankel import max_solvable_order
 from thetagw.invariants import TwistedBreakdown
+from thetagw.spin import ParityCensus
 from thetagw.torsion import (
     b_from_cones,
     branched_cover_identity,
@@ -210,6 +211,18 @@ def test_extra_etale_component_fails_the_twisted_total(monkeypatch):
     # at h = 2 the total is (2 - 8/3) * 2 = -4/3, and one more etale component adds -1/12
     assert failed == {
         "torsion/twisted_total[h<=5]": ("4 of 4 cases differ, first at h=2: -17/12", "-4/3")
+    }
+
+
+def test_a_wrong_census_gap_fails_the_etale_total(monkeypatch):
+    # the etale total reaches the gap through signed_double_cover_sum; its
+    # rhs takes the gap's closed form 2^h, not the census again
+    gap = ParityCensus.gap
+    monkeypatch.setattr(ParityCensus, "gap", property(lambda c: gap.fget(c) + (c.h == 5)))
+    failed = {c.name: (c.lhs, c.rhs) for c in run_suite("torsion").failures}
+    assert failed == {
+        "torsion/grand_total[h<=30]": ("2 of 58 cases differ, first at h=5,parity=0: -43/4", "-32/3"),
+        "torsion/etale_total[h<=30]": ("2 of 62 cases differ, first at h=5,parity=0: -11/4", "-8/3"),
     }
 
 
