@@ -3,10 +3,13 @@ emit value tables.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 any other
 error (with {"error": "<ExcType>: <message>"} on stderr), so a crash never
-reads as a verification failure.  All values are printed as exact rational
-strings "num/den" in lowest terms ("num" when den is 1), however many digits
-they have; --float adds a decimal convenience column (IEEE overflow to +-inf
-past the double range) without ever replacing the exact field.
+reads as a verification failure; 130 on Ctrl-C (with {"error":
+"KeyboardInterrupt"}), and 141, silently, when the reader closes stdout
+early, as in ``thetagw table ... | head``.  All values are printed as exact
+rational strings "num/den" in lowest terms ("num" when den is 1), however
+many digits they have; --float adds a decimal convenience column (IEEE
+overflow to +-inf past the double range) without ever replacing the exact
+field.
 
 Only ``verify`` loads the verification suites (and the series, Hankel and
 degeneration modules they check); ``invariant`` and ``table`` load the
@@ -21,15 +24,18 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 from .core import SUITE_NAMES, rational_str, required_chi, unlimited_digits
 from .invariants import InvariantQuery, evaluate, value_table
 
 
-# Largest genus (--genus, --hmax) and descendant exponent the CLI accepts.
+# Largest genus (--genus, --hmax), descendant exponent and Hankel size
+# (verify --kmax) the CLI accepts.
 MAX_GENUS = 10**6
 MAX_EXPONENT = 10**4
+MAX_KMAX = 40
 
 _PARITY = {"even": 0, "odd": 1}
 
@@ -226,7 +232,7 @@ def build_parser() -> _Parser:
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", choices=SUITE_NAMES, required=True)
     ver.add_argument("--hmax", type=hmax, default=None)
-    ver.add_argument("--kmax", type=_bounded("kmax", 1), default=None)
+    ver.add_argument("--kmax", type=_bounded("kmax", 1, MAX_KMAX), default=None)
     ver.add_argument("--alpha-budget", dest="alpha_budget", type=budget, default=None)
     ver.add_argument("--format", choices=("text", "json", "csv"), default="text")
     ver.set_defaults(func=_cmd_verify)
@@ -251,6 +257,14 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the flush at
+        # exit does not fail again (the Python docs' note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except KeyboardInterrupt:
+        print(json.dumps({"error": "KeyboardInterrupt"}), file=sys.stderr)
+        return 130
     except Exception as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 3

@@ -18,7 +18,7 @@ variable t = z/w, where the obstruction is the t^{2k+1} coefficient b_k^2
 of the residual r(t) = f^2 - (1 - t) g^2 (the constant-in-w term z * B_k^2
 of the bivariate residual).  The proof below covers every k, so the
 library returns the proved boundary 2k+1; :mod:`thetagw.verify` computes
-the residual from the solve and checks that it equals t^{2k+1}/16^k.
+16^k times the residual from the solve and checks that it equals t^{2k+1}.
 
 Why 2k+1 for every k.  Put s = sqrt(1 - t) and expand
 (1 + s)^{2k+1} = P + s Q with P, Q of degree <= k in t.  Then

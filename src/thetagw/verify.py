@@ -118,31 +118,23 @@ def _cases(name: str, label: Callable[..., str], cases: Callable[[], Iterable[tu
     return Check(name, True, agree, agree)
 
 
-def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination, exact throughout;
-    the oracle for the closed-form Hankel determinants.  Each row is scaled
-    to integers by the lcm of its denominators, so every division in the
-    elimination is exact in integers, and the determinant is divided once by
-    the product of the scales."""
+def _leading_minors(rows: list[list[Fraction]]) -> list[Fraction]:
+    """Every leading minor, of sizes 1..n, by one fraction-free Bareiss
+    elimination without pivoting; the oracle for the closed-form Hankel
+    determinants.  Each row is scaled to integers by the lcm of its
+    denominators, so every division is exact in integers, and by Sylvester's
+    identity the pivot after step i is the scaled leading (i+1)-minor.  A
+    zero minor of size <= n-2 is a later divisor: ZeroDivisionError."""
     scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
     m = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(rows, scales)]
     n = len(m)
-    sign = 1
     prev = 1
     for i in range(n - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, n):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
         for r in range(i + 1, n):
             for c in range(i + 1, n):
                 m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
         prev = m[i][i]
-    return Fraction(sign * m[-1][-1], math.prod(scales))
+    return [Fraction(m[i][i], s) for i, s in enumerate(itertools.accumulate(scales, operator.mul))]
 
 
 def _beta_weight(a: int) -> Fraction:
@@ -229,22 +221,23 @@ def suite_etale(*, hmax: int = 12) -> Iterator[Check]:
 
 
 def _branch_residual(k: int, coeffs: list[ZMonomial]) -> TruncatedSeries:
-    """The residual r(t) = f^2 - (1 - t) g^2 of the flag-level-k candidate;
-    the oracle for the solvability boundary the library returns.
+    """16^k times the residual r(t) = f^2 - (1 - t) g^2 of the flag-level-k
+    candidate; the oracle for the solvability boundary the library returns.
 
     g = 1 + b_1 t + ... + b_k t^k comes from the graded solve (g = 1 at
     k = 0) and f is the degree <= k part of sqrt(1 - t) g, read from
-    ``coeffs``, the values of ``sqrt_coeff`` from j = 0 on.  r has degree
-    <= 2k+1, so order 2k+2 holds it exactly.
+    ``coeffs``, the values of ``sqrt_coeff`` from j = 0 on.  Times 4^k, g
+    and sqrt(1 - t) have integer coefficients, and so has 4^k f.  r has
+    degree <= 2k+1, so order 2k+2 holds it exactly.
     """
     g_coeffs = [Fraction(1)]
     if k >= 1:
         sol = hankel.solve_branch_system(k)
         g_coeffs += [sol.b(j).coeff for j in range(1, k + 1)]
-    order = 2 * k + 2
-    g = TruncatedSeries(g_coeffs, order)
-    root = TruncatedSeries([c.coeff for c in coeffs[: k + 1]], order)
-    f = TruncatedSeries((root * g).coeffs[: k + 1], order)
+    scale, order = 4**k, 2 * k + 2
+    g = TruncatedSeries([scale * c for c in g_coeffs], order)
+    root = TruncatedSeries([scale * c.coeff for c in coeffs[: k + 1]], order)
+    f = TruncatedSeries([c / scale for c in (root * g).coeffs[: k + 1]], order)
     return f * f - TruncatedSeries((1, -1), order) * g * g
 
 
@@ -252,14 +245,16 @@ def suite_hankel(*, kmax: int = 8) -> Iterator[Check]:
     # D_j = sqrt_coeff(j) up to the largest index any check below reads
     d = functools.cache(lambda: [sqrt_coeff(j) for j in range(2 * max(kmax, 5) + 1)])
 
+    # one elimination per shift, whose minor k is the size-k determinant
+    minors = functools.cache(lambda shift: _leading_minors(
+        [[d()[shift + i + j].coeff for j in range(kmax)] for i in range(kmax)]))
+
     def determinants():
         for k, shift in itertools.product(range(1, kmax + 1), (1, 2)):
             det = hankel.hankel_det(k, shift)
-            entries = [[d()[shift + i + j] for j in range(k)] for i in range(k)]
             # every permutation product carries the diagonal's z-exponent
-            exp = sum(entries[i][i].exp for i in range(k))
-            bareiss = _bareiss_det([[e.coeff for e in row] for row in entries])
-            yield (k, shift), (det.coeff, det.exp), (bareiss, exp)
+            exp = sum(d()[shift + 2 * i].exp for i in range(k))
+            yield (k, shift), (det.coeff, det.exp), (minors(shift)[k - 1], exp)
 
     yield _cases(
         f"hankel/det_closed_form[k<={kmax}]", lambda k, shift: f"k={k},shift={shift}", determinants
@@ -271,9 +266,8 @@ def suite_hankel(*, kmax: int = 8) -> Iterator[Check]:
         for k, sol in sols().items():
             # Cramer's rule for B_k: column 0 of the sqrt_coeff system replaced
             # by the right-hand side -D_{k+1+i}
-            system = [[d()[1 + i + j].coeff for j in range(k)] for i in range(k)]
-            replaced = [[-d()[k + 1 + i].coeff] + row[1:] for i, row in enumerate(system)]
-            cramer_b = _bareiss_det(replaced) / _bareiss_det(system)
+            replaced = [[-d()[k + 1 + i].coeff] + [d()[1 + i + j].coeff for j in range(1, k)] for i in range(k)]
+            cramer_b = _leading_minors(replaced)[-1] / minors(1)[k - 1]
             yield (k,), (sol.b(k).coeff, sol.b(k).exp), (cramer_b, k)
 
     yield _cases(f"hankel/leading_coefficient[k<={top}]", lambda k: f"k={k}", cramer)
@@ -288,7 +282,7 @@ def suite_hankel(*, kmax: int = 8) -> Iterator[Check]:
     residuals = functools.cache(lambda: [_branch_residual(k, d()) for k in range(max(kmax, 5) + 1)])
     valuation = functools.cache(lambda: [r.z_order() for r in residuals()])
     yield _cases(f"hankel/residual[k<={kmax}]", lambda k: f"k={k}", lambda: (
-        ((k,), residuals()[k], TruncatedSeries([0] * (2 * k + 1) + [Fraction(1, 16**k)], 2 * k + 2))
+        ((k,), residuals()[k], TruncatedSeries([0] * (2 * k + 1) + [1], 2 * k + 2))
         for k in range(kmax + 1)
     ))
     # every decision up to two orders past the boundary, whatever kmax

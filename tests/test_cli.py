@@ -5,25 +5,44 @@ import io
 import itertools
 import json
 import math
+import os
 import random
+import signal
+import subprocess
 import sys
+import time
 import tracemalloc
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from thetagw import cli, verify
-from thetagw.cli import MAX_EXPONENT, MAX_GENUS, main
+from thetagw.cli import MAX_EXPONENT, MAX_GENUS, MAX_KMAX, main
 from thetagw.core import OPS, descendant_multisets, required_chi, unlimited_digits
 from thetagw.invariants import InvariantQuery, degree2, evaluate
 from thetagw.verify import run_suite
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_process(*argv) -> subprocess.Popen:
+    """A fresh ``python -m thetagw.cli`` process of this checkout, with its
+    stdout and stderr piped as text."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "thetagw.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
 
 
 def test_invariant_text(capsys):
@@ -639,6 +658,38 @@ def test_unexpected_exception_exits_3_with_json(capsys, monkeypatch):
     assert json.loads(errtext) == {"error": "RuntimeError: evaluator exploded"}
 
 
+def test_a_closed_stdout_ends_the_process_with_141_and_no_message():
+    # about 1 MB of rows, more than a pipe holds, so a write meets the closed end
+    with cli_process("table", "--degree", "2", "--hmax", "200", "--alpha-budget", "8",
+                     "--parity", "even") as proc:
+        assert proc.stdout.readline() == "degree,h,parity,alphas,chi,value\n"
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait(timeout=60)) == ("", 141)
+
+
+def test_ctrl_c_ends_the_process_with_130_and_one_json_line():
+    # a table that would run for hours; the header shows that main has begun
+    with cli_process("table", "--degree", "1", "--hmax", str(MAX_GENUS), "--alpha-budget", "3",
+                     "--parity", "odd") as proc:
+        assert proc.stdout.readline() == "degree,h,parity,alphas,chi,value\n"
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (130, json.dumps({"error": "KeyboardInterrupt"}) + "\n")
+
+
+def test_the_greatest_kmax_runs_within_its_budget():
+    # the README states under 1 s on a 2-core machine; 5 s, ten times the
+    # 0.48 s measured there, leaves room for a busy one
+    start = time.perf_counter()
+    with cli_process("verify", "--suite", "hankel", "--kmax", str(MAX_KMAX)) as proc:
+        out, err = proc.communicate(timeout=60)
+    wall = time.perf_counter() - start
+    assert (proc.returncode, err) == (0, "")
+    assert not [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert "suite=hankel checks=6 failures=0" in out
+    assert wall < 5
+
+
 # each bounded option: its argv, where "{}" stands for the value, the
 # attribute it parses to, the name its range errors give, and its least and
 # greatest value (None: no upper end)
@@ -653,7 +704,7 @@ BOUNDED = {
                             "--alpha-budget", "{}"), "alpha_budget", "alpha-budget", 1, None),
     "verify-hmax": (("verify", "--suite", "torsion", "--hmax", "{}"),
                     "hmax", "hmax", 1, MAX_GENUS),
-    "verify-kmax": (("verify", "--suite", "hankel", "--kmax", "{}"), "kmax", "kmax", 1, None),
+    "verify-kmax": (("verify", "--suite", "hankel", "--kmax", "{}"), "kmax", "kmax", 1, MAX_KMAX),
     "verify-alpha-budget": (("verify", "--suite", "degeneration", "--hmax", "1",
                              "--alpha-budget", "{}"), "alpha_budget", "alpha-budget", 1, None),
 }
@@ -743,7 +794,8 @@ def _fuzz_argv(rng: random.Random) -> list[str]:
         suite = pick(list(verify.SUITE_NAMES))
         taken = verify.suite_bounds(suite) if suite in verify.SUITE_NAMES else set()
         bounds = {"hmax": pick(numbers(1, 6, "1_0"), "0", over),
-                  "kmax": pick(numbers(1, 4), "0"), "alpha_budget": pick(numbers(1, 4), "0")}
+                  "kmax": pick(numbers(1, 4, str(MAX_KMAX)), "0", str(MAX_KMAX + 1)),
+                  "alpha_budget": pick(numbers(1, 4), "0")}
         options = {"--suite": suite, "--format": pick(["text", "json", "csv"])}
         for name, value in bounds.items():
             if rng.random() < (0.95 if name in taken else 0.08):

@@ -13,7 +13,7 @@ from thetagw.hankel import (
     solve_branch_system,
 )
 from thetagw.series import TruncatedSeries, ZMonomial, sqrt_coeff
-from thetagw.verify import _bareiss_det, _branch_residual, run_suite
+from thetagw.verify import _branch_residual, _leading_minors, run_suite
 
 
 def test_det_size_one():
@@ -32,20 +32,24 @@ def test_det_closed_forms(k):
     # the closed forms against elimination on the sqrt_coeff matrices
     for det, shift in ((det1, 1), (det2, 2)):
         rows = [[sqrt_coeff(shift + i + j).coeff for j in range(k)] for i in range(k)]
-        assert det.coeff == _bareiss_det(rows)
+        assert det.coeff == _leading_minors(rows)[-1]
 
 
 def test_bareiss_pivots_and_singular_matrices():
-    assert _bareiss_det([[0, 1], [1, 0]]) == -1
-    assert _bareiss_det([[1, 2], [2, 4]]) == 0
-    assert _bareiss_det([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == 5 * (4 - 6)
-    # a zero column below the pivot: no row to swap in
-    assert _bareiss_det([[0, 1], [0, 2]]) == 0
+    # without pivoting a zero minor is returned as it is, while no later
+    # step divides by it
+    assert _leading_minors([[0, 1], [1, 0]]) == [0, -1]
+    assert _leading_minors([[1, 2], [2, 4]]) == [1, 0]
+    assert _leading_minors([[0, 1], [0, 2]]) == [0, 0]
+    # a zero 1-minor of a 3x3 matrix is the divisor of its last step
+    with pytest.raises(ZeroDivisionError):
+        _leading_minors([[0, 1, 2], [0, 3, 4], [5, 6, 7]])
 
 
 def _fraction_bareiss(rows: list[list[Fraction]]) -> Fraction:
-    """Bareiss elimination in `Fraction`s throughout: the oracle for the
-    row-scaled integer elimination of `verify._bareiss_det`."""
+    """Bareiss elimination in `Fraction`s throughout, with row swaps: the
+    oracle for the row-scaled, pivot-free integer elimination of
+    `verify._leading_minors`."""
     m = [list(r) for r in rows]
     n = len(m)
     sign = 1
@@ -84,10 +88,41 @@ def test_integer_bareiss_matches_fraction_elimination():
                 # singular: the last row a multiple of the first
                 matrices.append([*rows[:-1], [Fraction(-5, 7) * x for x in rows[0]]])
     matrices.append([[2, 3], [4, 5]])  # plain ints
+    raised = 0
     for rows in matrices:
-        det = _bareiss_det(rows)
-        assert type(det) is Fraction
-        assert det == _fraction_bareiss(rows), rows
+        n = len(rows)
+        want = [_fraction_bareiss([row[:i] for row in rows[:i]]) for i in range(1, n + 1)]
+        # a zero minor of size <= n-2 is a divisor of a later step
+        if 0 in want[: n - 2]:
+            with pytest.raises(ZeroDivisionError):
+                _leading_minors(rows)
+            raised += 1
+            continue
+        minors = _leading_minors(rows)
+        assert all(type(m) is Fraction for m in minors)
+        assert minors == want, rows
+    # both outcomes are exercised
+    assert 0 < raised < len(matrices)
+
+
+@pytest.mark.parametrize("shift", (1, 2))
+def test_leading_minors_of_the_hankel_matrices_match_fraction_elimination(shift):
+    rows = [[sqrt_coeff(shift + i + j).coeff for j in range(12)] for i in range(12)]
+    want = [_fraction_bareiss([row[:k] for row in rows[:k]]) for k in range(1, 13)]
+    assert _leading_minors(rows) == want
+
+
+def test_a_zero_hankel_minor_fails_its_check_and_not_the_run(monkeypatch):
+    # D_1 = 0 makes the 1-minor of the shift-1 matrix zero, and so a divisor
+    def zero_d1(j):
+        return ZMonomial(Fraction(0), 1) if j == 1 else sqrt_coeff(j)
+
+    monkeypatch.setattr(verify, "sqrt_coeff", zero_d1)
+    checks = {c.name: c for c in run_suite("hankel", kmax=4).checks}
+    check = checks["hankel/det_closed_form[k<=4]"]
+    assert not check.passed
+    assert check.lhs.startswith("ZeroDivisionError: ")
+    assert check.rhs == "no exception"
 
 
 def test_hankel_det_validation():
@@ -238,14 +273,16 @@ def test_boundary_wrong_only_past_kmax_fails_verify(monkeypatch):
 
 def test_residual_of_solved_k1_system_by_direct_expansion():
     # k = 1: g = 1 + b_1 t and f = 1 + (b_1 + D_1) t; expand f^2 - (1-t) g^2
-    # by hand and compare with the verify oracle's residual t^3/16
+    # by hand and compare with the verify oracle's residual, which is taken
+    # times 16^k
     b1 = solve_branch_system(1).b(1).coeff
     d1 = sqrt_coeff(1).coeff
     assert (b1, d1) == (Fraction(-1, 4), Fraction(-1, 2))
     f1 = b1 + d1
     by_hand = [0, 2 * f1 - 2 * b1 + 1, f1**2 - b1**2 + 2 * b1, b1**2]
     assert by_hand == [0, 0, 0, Fraction(1, 16)]
-    assert _branch_residual(1, [sqrt_coeff(0), sqrt_coeff(1)]) == TruncatedSeries(by_hand, 4)
+    scaled = TruncatedSeries([16 * c for c in by_hand], 4)
+    assert _branch_residual(1, [sqrt_coeff(0), sqrt_coeff(1)]) == scaled
 
 
 def _pade_pair(k):
@@ -271,6 +308,7 @@ def test_branch_candidate_is_the_pade_approximant(k):
         for m in range(k + 1)
     ]
     assert f == [Fraction(c, 4**k) for c in p]
-    expected = [0] * (2 * k + 1) + [Fraction(1, 16**k)]
+    # the oracle returns 16^k r, and r = t^{2k+1}/16^k
+    expected = [0] * (2 * k + 1) + [1]
     root = [sqrt_coeff(j) for j in range(k + 1)]
     assert _branch_residual(k, root) == TruncatedSeries(expected, 2 * k + 2)

@@ -26,8 +26,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "thetagw"
 # (file, source text of the line): why the system never runs the statement
 # that starts there
 NAMED = {
-    ("verify.py", "if m[i][i] == 0:"):
-        "no leading minor of a Hankel matrix verify eliminates is zero",
     ("series.py", "return None"):
         "the residuals whose valuation verify reads are never zero",
     ("verify.py", 'return Check(name, False, "no cases", "at least one case")'):
