@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -110,13 +111,11 @@ def _write_rows(degree: int, parity: str, blocks, fmt: str, with_float: bool) ->
 
     Every block lists the same multisets in the same order, so each row's
     head, the fields fixed by its multiset and chi0 = chi at h = 0, is built
-    once, from the first block.  Value texts, with their optional float, are
-    rebuilt only when rows is not the previous block (a degree-1 table yields
-    one rows tuple for every genus) and kept by (num, den) for the current
-    and the previous genus: a degree-2 value recurs one genus later, at the
-    multiset with one 0 less, so each text is formatted as often as a
-    whole-table cache would, while memory stays at one block.  Each genus is
-    then one join of f-strings of h, the head, chi0 - shift and the text."""
+    once, from the first block, and a block that is the previous block (a
+    degree-1 table yields one rows tuple for every genus) reuses its value
+    texts.  Each distinct value is formatted once, and at most two genera of
+    texts are kept: a degree-2 value recurs one genus later, at the multiset
+    with one 0 less."""
     if fmt == "json":
         lead = f'{{"degree": {degree}, "h": '
         value_open, value_close, end = ', "value": "', '"', "}\n"
@@ -132,9 +131,11 @@ def _write_rows(degree: int, parity: str, blocks, fmt: str, with_float: bool) ->
         lead, value_open, value_close, end = f"degree={degree} h=", " value=", "", "\n"
         float_open, float_text = " value_float=", repr
 
-    heads = None  # (fixed fields, chi0) per multiset, from the first block
-    texts: dict[tuple[int, int], str] = {}  # (num, den) -> value text, this genus
-    rows = values = None
+    def value_text(num: int, den: int) -> str:
+        tail = f"{float_open}{float_text(_to_float(num, den))}" if with_float else ""
+        return f"{value_open}{rational_str(num, den)}{value_close}{tail}{end}"
+
+    heads = rows = None
     for h, block in blocks:
         if heads is None:
             base = required_chi(degree, 0, ())
@@ -142,16 +143,10 @@ def _write_rows(degree: int, parity: str, blocks, fmt: str, with_float: bool) ->
                 (_fixed_fields(fmt, parity, alphas), required_chi(degree, 0, alphas))
                 for alphas, _, _ in block
             ]
+            value_text = functools.lru_cache(maxsize=2 * len(block))(value_text)
         if block is not rows:
-            rows, previous, texts, values = block, texts, {}, []
-            for _, num, den in rows:
-                key = num, den
-                text = previous.get(key) or texts.get(key)
-                if text is None:
-                    tail = f"{float_open}{float_text(_to_float(num, den))}" if with_float else ""
-                    text = f"{value_open}{rational_str(num, den)}{value_close}{tail}{end}"
-                texts[key] = text
-                values.append(text)
+            rows = block
+            values = [value_text(num, den) for _, num, den in rows]
         start, shift = f"{lead}{h}", base - required_chi(degree, h, ())
         sys.stdout.write("".join([
             f"{start}{fixed}{chi0 - shift}{text}" for (fixed, chi0), text in zip(heads, values)
@@ -222,7 +217,7 @@ def build_parser() -> _Parser:
     inv.add_argument("--degree", type=int, choices=(1, 2), required=True)
     inv.add_argument("--genus", type=_bounded("genus", 0, MAX_GENUS), required=True,
                      help="genus h of the base curve")
-    inv.add_argument("--parity", choices=("even", "odd"), required=True)
+    inv.add_argument("--parity", choices=_PARITY, required=True)
     inv.add_argument("--alphas", type=_parse_alphas, default="",
                      help="comma list of descendant exponents")
     inv.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -240,7 +235,7 @@ def build_parser() -> _Parser:
     tab = sub.add_parser("table", help="emit a grid of invariant values")
     tab.add_argument("--degree", type=int, choices=(1, 2), required=True)
     tab.add_argument("--hmax", type=hmax, required=True)
-    tab.add_argument("--parity", choices=("even", "odd"), required=True)
+    tab.add_argument("--parity", choices=_PARITY, required=True)
     tab.add_argument("--alpha-budget", dest="alpha_budget", type=budget, default=2)
     tab.add_argument("--format", choices=("csv", "json"), default="csv")
     tab.add_argument("--float", action="store_true")

@@ -107,16 +107,15 @@ def branch_identity_holds(k: int, n: int) -> bool:
     coefficients are the defining relations A_j = C_j).  In t = z/w the
     residual w^{2k+1} (f^2 - (1 - z/w) g^2) becomes r(t) = f^2 - (1 - t) g^2,
     whose t^m coefficient sits at z^m; the identity holds modulo z^n iff r
-    vanishes modulo t^n, that is iff n <= 2k+1 (module docstring).
+    vanishes modulo t^n, that is iff n <= 2k+1, the order that
+    :func:`max_solvable_order` returns (module docstring).
 
     k = 0 is allowed (empty system, g = 1); the flag-level sweep that reads
     off torsion exponents needs it.
     """
     if n < 1:
         raise ValueError("congruence order must be >= 1")
-    if k < 0:
-        raise ValueError("flag level must be >= 0")
-    return n <= 2 * k + 1
+    return n <= max_solvable_order(k)
 
 
 @op

@@ -21,7 +21,7 @@ import pytest
 from thetagw import cli, verify
 from thetagw.cli import MAX_EXPONENT, MAX_GENUS, MAX_KMAX, main
 from thetagw.core import OPS, descendant_multisets, required_chi, unlimited_digits
-from thetagw.invariants import InvariantQuery, degree2, evaluate
+from thetagw.invariants import InvariantQuery, degree2, evaluate, value_table
 from thetagw.verify import run_suite
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -280,6 +280,27 @@ def test_table_writes_once_per_genus(monkeypatch, degree, fmt, header):
             assert {json.loads(line)["h"] for line in lines} == {h}
         else:
             assert {int(line.split(",")[1]) for line in lines} == {h}
+
+
+@pytest.mark.parametrize("degree, hmax, budget, formatted", [
+    (2, 30, 4, 398), (2, 200, 7, 9229), (1, 30, 4, 12),
+])
+def test_a_table_formats_each_distinct_value_once(monkeypatch, degree, hmax, budget, formatted):
+    calls = []
+    to_float = cli._to_float
+
+    def counted(num, den):
+        calls.append((num, den))
+        return to_float(num, den)
+
+    monkeypatch.setattr(cli, "_to_float", counted)
+    monkeypatch.setattr(sys, "stdout", _Stdout(keep=False))
+    argv = ["table", "--degree", str(degree), "--hmax", str(hmax), "--parity", "even",
+            "--alpha-budget", str(budget), "--float"]
+    assert main(argv) == 0
+    distinct = {(num, den) for _, rows in value_table(degree, 0, hmax, budget)
+                for _, num, den in rows}
+    assert set(calls) == distinct and len(calls) == len(distinct) == formatted
 
 
 def test_a_long_table_streams_in_bounded_memory(monkeypatch):
