@@ -34,15 +34,17 @@ class ZMonomial(namedtuple("ZMonomial", "coeff exp")):
 
 
 class TruncatedSeries:
-    """Dense univariate series modulo z^order, coefficients exact rationals."""
+    """Dense univariate series modulo z^order, coefficients exact rationals:
+    an int coefficient stays an int, anything else becomes a Fraction, so a
+    series of integers multiplies in integers."""
 
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order: int):
-        cs = [Fraction(c) for c in coeffs][:order]
+        cs = [c if type(c) is int else Fraction(c) for c in coeffs][:order]
         if order < 1:
             raise ValueError("truncation order must be >= 1")
-        self.coeffs = tuple(cs) + (Fraction(0),) * (order - len(cs))
+        self.coeffs = tuple(cs) + (0,) * (order - len(cs))
         self.order = order
 
     # -- ring operations ----------------------------------------------
@@ -61,7 +63,7 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
-        out = [Fraction(0)] * n
+        out = [0] * n
         for i in range(n):
             a = self.coeffs[i]
             if a == 0:

@@ -91,12 +91,14 @@ def _eq(name: str, lhs: Callable[[], object], rhs) -> Check:
         return Check(name, False, f"{type(exc).__name__}: {exc}", "no exception")
 
 
-def _cases(name: str, label: Callable[..., str], cases: Callable[[], Iterable[tuple]]) -> Check:
+def _cases(name: str, fields: str, cases: Callable[[], Iterable[tuple]]) -> Check:
     """One check over the cases ``cases()`` yields, each a (key, lhs, rhs)
     triple; it passes when every lhs equals its rhs, and fails when there is
     no case or when producing, comparing or formatting a case raises.  Only
-    the first failing case is kept: its key is labelled, as ``label(*key)``,
-    and its two values are formatted."""
+    the first failing case is kept and formatted: its key reads
+    "field=value,..." with the space-separated names in ``fields`` and a
+    tuple value printed as a list, so a key of another length fails the
+    check."""
     count = wrong = 0
     try:
         with unlimited_digits():
@@ -108,7 +110,9 @@ def _cases(name: str, label: Callable[..., str], cases: Callable[[], Iterable[tu
                 count += 1
             if wrong:
                 key, lhs, rhs = first
-                lhs = f"{wrong} of {count} cases differ, first at {label(*key)}: {_text(lhs)}"
+                at = ",".join(f"{field}={list(v) if isinstance(v, tuple) else v}"
+                              for field, v in zip(fields.split(), key, strict=True))
+                lhs = f"{wrong} of {count} cases differ, first at {at}: {_text(lhs)}"
                 return Check(name, False, lhs, _text(rhs))
     except Exception as exc:
         return Check(name, False, f"{type(exc).__name__}: {exc} after {count} cases", "no exception")
@@ -159,11 +163,11 @@ def suite_parity(*, hmax: int = 12) -> Iterator[Check]:
     def counts(c: spin.ParityCensus) -> tuple[int, int]:
         return c.even_count, c.odd_count
 
-    yield _cases("parity/census[h<=1]", lambda h: f"h={h}", lambda: (
+    yield _cases("parity/census[h<=1]", "h", lambda: (
         ((h,), (census()[h].total, *counts(census()[h])), want)
         for h, want in ((0, (1, 1, 0)), (1, (4, 3, 1)))
     ))
-    yield _cases(f"parity/census_gap[h<={hmax}]", lambda h: f"h={h}", lambda: (
+    yield _cases(f"parity/census_gap[h<={hmax}]", "h", lambda: (
         ((h,), census()[h].gap, 2**h) for h in range(hmax + 1)
     ))
 
@@ -174,9 +178,9 @@ def suite_parity(*, hmax: int = 12) -> Iterator[Check]:
                 (e1, o1), (e2, o2) = counts(census()[h1]), counts(census()[h2])
                 yield (h1, h2), counts(census()[h1 + h2]), (e1 * e2 + o1 * o2, e1 * o2 + o1 * e2)
 
-    yield _cases(f"parity/census_splits[h1+h2<={top}]", lambda h1, h2: f"h1={h1},h2={h2}", splits)
+    yield _cases(f"parity/census_splits[h1+h2<={top}]", "h1 h2", splits)
     brute_top = min(hmax, 5)
-    yield _cases(f"parity/arf_oracle[h<={brute_top}]", lambda h: f"h={h}", lambda: (
+    yield _cases(f"parity/arf_oracle[h<={brute_top}]", "h", lambda: (
         ((h,), counts(spin.arf_census_bruteforce(h)), counts(census()[h]))
         for h in range(1, brute_top + 1)
     ))
@@ -193,15 +197,12 @@ def suite_parity(*, hmax: int = 12) -> Iterator[Check]:
 
 
 def suite_etale(*, hmax: int = 12) -> Iterator[Check]:
-    def label(h, parity):
-        return f"h={h},parity={parity}"
-
     grid = list(itertools.product(range(hmax + 1), (0, 1)))
-    yield _cases(f"etale/unweighted_closed_form[h<={hmax}]", label, lambda: (
+    yield _cases(f"etale/unweighted_closed_form[h<={hmax}]", "h parity", lambda: (
         ((h, p), spin.signed_double_cover_sum(h, p, "unweighted"), (-1) ** p * 2**h)
         for h, p in grid
     ))
-    yield _cases(f"etale/weighted_vs_degree2[h<={hmax}]", label, lambda: (
+    yield _cases(f"etale/weighted_vs_degree2[h<={hmax}]", "h parity", lambda: (
         ((h, p), spin.signed_double_cover_sum(h, p, "weighted"),
          invariants.degree2(InvariantQuery(2, h, p, ())))
         for h, p in grid
@@ -215,9 +216,17 @@ def suite_etale(*, hmax: int = 12) -> Iterator[Check]:
     )
     # an etale double cover of a genus-h curve has genus 2h - 1 by
     # Riemann-Hurwitz, 2g - 2 = 2(2h - 2), so chi(O) = 1 - g = 2(1 - h)
-    yield _cases(f"etale/double_cover_chi[h<={hmax}]", lambda h: f"h={h}", lambda: (
+    yield _cases(f"etale/double_cover_chi[h<={hmax}]", "h", lambda: (
         ((h,), required_chi(2, h, ()), 2 * (1 - h)) for h in range(hmax + 1)
     ))
+
+
+def _integer(value: Fraction) -> int:
+    """value as an int, or a ValueError when it is not an integer; never a
+    truncation, which could make a wrong solve look right."""
+    if value.denominator != 1:
+        raise ValueError(f"{value} is not an integer")
+    return value.numerator
 
 
 def _branch_residual(k: int, coeffs: list[ZMonomial]) -> TruncatedSeries:
@@ -227,17 +236,19 @@ def _branch_residual(k: int, coeffs: list[ZMonomial]) -> TruncatedSeries:
     g = 1 + b_1 t + ... + b_k t^k comes from the graded solve (g = 1 at
     k = 0) and f is the degree <= k part of sqrt(1 - t) g, read from
     ``coeffs``, the values of ``sqrt_coeff`` from j = 0 on.  Times 4^k, g
-    and sqrt(1 - t) have integer coefficients, and so has 4^k f.  r has
-    degree <= 2k+1, so order 2k+2 holds it exactly.
+    and sqrt(1 - t) have integer coefficients, and so has 4^k f; each is
+    taken as an int exactly, so the series multiply in integers, and a
+    coefficient that is not an integer raises ValueError.  r has degree
+    <= 2k+1, so order 2k+2 holds it exactly.
     """
     g_coeffs = [Fraction(1)]
     if k >= 1:
         sol = hankel.solve_branch_system(k)
         g_coeffs += [sol.b(j).coeff for j in range(1, k + 1)]
     scale, order = 4**k, 2 * k + 2
-    g = TruncatedSeries([scale * c for c in g_coeffs], order)
-    root = TruncatedSeries([scale * c.coeff for c in coeffs[: k + 1]], order)
-    f = TruncatedSeries([c / scale for c in (root * g).coeffs[: k + 1]], order)
+    g = TruncatedSeries([_integer(scale * c) for c in g_coeffs], order)
+    root = TruncatedSeries([_integer(scale * c.coeff) for c in coeffs[: k + 1]], order)
+    f = TruncatedSeries([_integer(Fraction(c, scale)) for c in (root * g).coeffs[: k + 1]], order)
     return f * f - TruncatedSeries((1, -1), order) * g * g
 
 
@@ -256,9 +267,7 @@ def suite_hankel(*, kmax: int = 8) -> Iterator[Check]:
             exp = sum(d()[shift + 2 * i].exp for i in range(k))
             yield (k, shift), (det.coeff, det.exp), (minors(shift)[k - 1], exp)
 
-    yield _cases(
-        f"hankel/det_closed_form[k<={kmax}]", lambda k, shift: f"k={k},shift={shift}", determinants
-    )
+    yield _cases(f"hankel/det_closed_form[k<={kmax}]", "k shift", determinants)
     top = min(kmax, 6)
     sols = functools.cache(lambda: {k: hankel.solve_branch_system(k) for k in range(1, top + 1)})
 
@@ -270,9 +279,9 @@ def suite_hankel(*, kmax: int = 8) -> Iterator[Check]:
             cramer_b = _leading_minors(replaced)[-1] / minors(1)[k - 1]
             yield (k,), (sol.b(k).coeff, sol.b(k).exp), (cramer_b, k)
 
-    yield _cases(f"hankel/leading_coefficient[k<={top}]", lambda k: f"k={k}", cramer)
+    yield _cases(f"hankel/leading_coefficient[k<={top}]", "k", cramer)
     # substitute back: row i reads sum_j D_{1+i+j} B_{k-j} = -D_{k+1+i}
-    yield _cases(f"hankel/substitution[k<={top}]", lambda k, i: f"k={k},row={i}", lambda: (
+    yield _cases(f"hankel/substitution[k<={top}]", "k row", lambda: (
         ((k, i), sum(d()[1 + i + j].coeff * sol.b(k - j).coeff for j in range(k)),
          -d()[k + 1 + i].coeff)
         for k, sol in sols().items()
@@ -281,17 +290,17 @@ def suite_hankel(*, kmax: int = 8) -> Iterator[Check]:
     # the oracle residual once per flag level, and its valuation v_k
     residuals = functools.cache(lambda: [_branch_residual(k, d()) for k in range(max(kmax, 5) + 1)])
     valuation = functools.cache(lambda: [r.z_order() for r in residuals()])
-    yield _cases(f"hankel/residual[k<={kmax}]", lambda k: f"k={k}", lambda: (
+    yield _cases(f"hankel/residual[k<={kmax}]", "k", lambda: (
         ((k,), residuals()[k], TruncatedSeries([0] * (2 * k + 1) + [1], 2 * k + 2))
         for k in range(kmax + 1)
     ))
     # every decision up to two orders past the boundary, whatever kmax
-    yield _cases("hankel/decisions_vs_residual[k<=5]", lambda k, n: f"k={k},n={n}", lambda: (
+    yield _cases("hankel/decisions_vs_residual[k<=5]", "k n", lambda: (
         ((k, n), hankel.branch_identity_holds(k, n), n <= valuation()[k])
         for k in range(6)
         for n in range(1, 2 * k + 4)
     ))
-    yield _cases("hankel/torsion_exponent[i<=5]", lambda i: f"i={i}", lambda: (
+    yield _cases("hankel/torsion_exponent[i<=5]", "i", lambda: (
         ((i,), hankel.max_solvable_order(i - 1), valuation()[i - 1]) for i in range(1, 6)
     ))
 
@@ -378,37 +387,32 @@ def suite_degeneration(*, hmax: int = 10, alpha_budget: int = 6) -> Iterator[Che
 
     multisets = functools.cache(lambda: list(descendant_multisets(_NMAX, alpha_budget)))
     yield _cases(
-        f"degeneration/genus_scaling_grid[hmax={hmax},n<={_NMAX},sum<={alpha_budget}]",
-        lambda h, parity, alphas: f"h={h},parity={parity},alphas={list(alphas)}",
+        f"degeneration/genus_scaling_grid[hmax={hmax},n<={_NMAX},sum<={alpha_budget}]", "h parity alphas",
         lambda: ((key, degeneration.gluing_consistent(*key), True)
                  for key in itertools.product(range(hmax + 1), (0, 1), multisets())),
     )
     yield _cases(
-        f"degeneration/bubble_factorizes[n<={_NMAX},sum<={alpha_budget}]",
-        lambda alphas: f"alphas={list(alphas)}",
+        f"degeneration/bubble_factorizes[n<={_NMAX},sum<={alpha_budget}]", "alphas",
         lambda: (((alphas,), degeneration.bubble_channel_11(alphas),
                   2 ** len(alphas) * invariants.degree1(InvariantQuery(1, 0, 0, alphas)))
                  for alphas in multisets()),
     )
     yield _cases(
-        "degeneration/bubble_symmetric",
-        lambda alphas, p: f"alphas={list(alphas)},order={list(p)}",
+        "degeneration/bubble_symmetric", "alphas order",
         lambda: (((alphas, p), degeneration.bubble_channel_11(p), base)
                  for alphas in ((1, 2), (0, 1, 3), (2, 2, 1))
                  for base in [degeneration.bubble_channel_11(tuple(sorted(alphas)))]
                  for p in itertools.permutations(alphas)),
     )
     yield _cases(
-        "degeneration/bubble_unit_insertion[n<=3,sum<=4]",
-        lambda alphas: f"alphas={list(alphas)}",
+        "degeneration/bubble_unit_insertion[n<=3,sum<=4]", "alphas",
         lambda: (((alphas,), degeneration.bubble_channel_11(alphas + (0,)),
                   2 * degeneration.bubble_channel_11(alphas))
                  for alphas in descendant_multisets(3, 4)),
     )
     # degree 2 over degree 1 is 2^{h+n-1} prod_i 4^{a_i}
     yield _cases(
-        "degeneration/degree_ratio[h=0,1,5,n<=3,sum<=6]",
-        lambda h, alphas: f"h={h},alphas={list(alphas)}",
+        "degeneration/degree_ratio[h=0,1,5,n<=3,sum<=6]", "h alphas",
         lambda: (((h, alphas), invariants.degree2(InvariantQuery(2, h, 0, alphas)),
                   invariants.degree1(InvariantQuery(1, h, 0, alphas))
                   * Fraction(2) ** (h + len(alphas) - 1 + 2 * sum(alphas)))
@@ -417,13 +421,11 @@ def suite_degeneration(*, hmax: int = 10, alpha_budget: int = 6) -> Iterator[Che
     # the integer kernel against the per-insertion Fraction blocks at h = 0;
     # the genus enters through 2^h alone, which genus_scaling_grid checks
     yield _cases(
-        f"degeneration/kernel_vs_blocks[n<={_NMAX},sum<={alpha_budget}]",
-        lambda parity, alphas: f"parity={parity},alphas={list(alphas)}",
+        f"degeneration/kernel_vs_blocks[n<={_NMAX},sum<={alpha_budget}]", "parity alphas",
         lambda: itertools.starmap(_kernel_case, itertools.product((0, 1), multisets())),
     )
     yield _cases(
-        f"degeneration/value_table[hmax={hmax},sum<={alpha_budget}]",
-        lambda d, parity, h, alphas: f"d={d},parity={parity},h={h},alphas={list(alphas)}",
+        f"degeneration/value_table[hmax={hmax},sum<={alpha_budget}]", "d parity h alphas",
         lambda: itertools.chain.from_iterable(
             _table_cases(d, parity, hmax, alpha_budget)
             for d, parity in itertools.product((1, 2), (0, 1))
@@ -432,15 +434,13 @@ def suite_degeneration(*, hmax: int = 10, alpha_budget: int = 6) -> Iterator[Che
     # the own route draws C(2b+1, b) tuples to keep a few thousand: 0.06 s at
     # b = 10, 1.4 s at 12, so the row set is checked up to 10
     top = min(alpha_budget, 10)
-    yield _cases(f"degeneration/row_set[sum<={top}]", lambda i: f"row={i}", lambda: _row_set_cases(top))
+    yield _cases(f"degeneration/row_set[sum<={top}]", "row", lambda: _row_set_cases(top))
     yield _cases(
-        f"degeneration/chi_from_vdim[hmax={hmax},n<={_NMAX},sum<={alpha_budget}]",
-        lambda d, h, alphas: f"d={d},h={h},alphas={list(alphas)}",
+        f"degeneration/chi_from_vdim[hmax={hmax},n<={_NMAX},sum<={alpha_budget}]", "d h alphas",
         lambda: itertools.starmap(_chi_case, itertools.product((1, 2), range(hmax + 1), multisets())),
     )
     yield _cases(
-        f"degeneration/weight_beta_oracle[a<={2 * alpha_budget}]",
-        lambda a: f"a={a}",
+        f"degeneration/weight_beta_oracle[a<={2 * alpha_budget}]", "a",
         lambda: (((a,), (invariants.degree1(InvariantQuery(1, 0, 0, (a,))),
                          invariants.degree2(InvariantQuery(2, 0, 0, (a,)))),
                   (weight * Fraction(-2) ** -a, weight * Fraction(-2) ** a))
@@ -471,11 +471,11 @@ def suite_torsion(*, hmax: int = 50) -> Iterator[Check]:
     # the closed-form ledger against the cone tables, for j <= 60 (r <= 30):
     # a_j is the unsigned sum of the level-r multiplicities, b_j the signed one
     big = functools.cache(lambda: torsion.build_ledger(62))
-    yield _cases("torsion/a_closed_forms[r<=30]", lambda j: f"j={j}", lambda: (
+    yield _cases("torsion/a_closed_forms[r<=30]", "j", lambda: (
         ((j,), big().a[j], sum(m for _, m in torsion.cone_multiplicity_table(j // 2, torsion.FAMILIES[j % 2])))
         for j in range(61)
     ))
-    yield _cases("torsion/b_two_routes[j<=60]", lambda j: f"j={j}", lambda: (
+    yield _cases("torsion/b_two_routes[j<=60]", "j", lambda: (
         ((j,), torsion.b_from_cones(j), big().b[j]) for j in range(61)
     ))
 
@@ -487,7 +487,7 @@ def suite_torsion(*, hmax: int = 50) -> Iterator[Check]:
     )
     yield _eq("torsion/cone_table[r=0,dblprime]", lambda: torsion.cone_multiplicity_table(0, "dblprime"), [(1, 2)])
 
-    yield _cases(f"torsion/identity[h<={hmax}]", lambda h: f"h={h}", lambda: (
+    yield _cases(f"torsion/identity[h<={hmax}]", "h", lambda: (
         ((h,), torsion.branched_cover_identity(h), True) for h in range(2, hmax + 1)
     ))
 
@@ -501,36 +501,36 @@ def suite_torsion(*, hmax: int = 50) -> Iterator[Check]:
     splits = functools.cache(lambda: {
         (h, p): invariants.degree2_tau1_decomposition(h, p) for h in range(top + 1) for p in (0, 1)
     })
-    yield _cases(f"torsion/grand_total[h<={top}]", lambda h, p: f"h={h},parity={p}", lambda: (
+    yield _cases(f"torsion/grand_total[h<={top}]", "h parity", lambda: (
         ((h, p), splits()[h, p]["grand_total"], invariants.degree2(InvariantQuery(2, h, p, (1,))))
         for h, p in itertools.product(range(2, top + 1), (0, 1))
     ))
     # the tau_1 split part by part: the census gap's closed form 2^h times the
     # (1)-contact bubble value -1/12, and the dominant term less half the
     # cone-table ledger sum
-    yield _cases(f"torsion/etale_total[h<={top}]", lambda h, p: f"h={h},parity={p}", lambda: (
+    yield _cases(f"torsion/etale_total[h<={top}]", "h parity", lambda: (
         ((h, p), d["etale_total"], (-1) ** p * 2**h * Fraction(-1, 12))
         for (h, p), d in splits().items()
     ))
-    yield _cases(f"torsion/branched_total[h<={top}]", lambda h, p: f"h={h},parity={p}", lambda: (
+    yield _cases(f"torsion/branched_total[h<={top}]", "h parity", lambda: (
         ((h, p), d["branched_total"],
          (-1) ** p * ((h - 2) * Fraction(2) ** (2 * h - 3) - Fraction(a_even + a_odd - b, 2)))
         for (h, p), d in splits().items()
         for a_even, a_odd, b in [cones()[h]]
     ))
     # the total assembled from spin, degree1 and the dominant term
-    yield _cases(f"torsion/twisted_total[h<={top}]", lambda h: f"h={h}", lambda: (
+    yield _cases(f"torsion/twisted_total[h<={top}]", "h", lambda: (
         ((h,), invariants.twisted_breakdown(h).total, (h - Fraction(8, 3)) * 2 ** (2 * h - 3))
         for h in range(2, top + 1)
     ))
     # each locus against its half of the ledger's a-part, from the cone tables
-    yield _cases(f"torsion/degrees_vs_cones[h<={top}]", lambda h, locus: f"h={h},{locus}", lambda: (
+    yield _cases(f"torsion/degrees_vs_cones[h<={top}]", "h locus", lambda: (
         ((h, locus), degrees[locus], Fraction(cones()[h][j], 2))
         for h in range(2, top + 1)
         for degrees in [torsion.torsion_degrees(h)]
         for j, locus in enumerate(("over_lambda_prime", "over_lambda_dblprime"))
     ))
-    yield _cases("torsion/exponent_from_boundary[i<=5]", lambda i: f"i={i}", lambda: (
+    yield _cases("torsion/exponent_from_boundary[i<=5]", "i", lambda: (
         ((i,), hankel.max_solvable_order(i - 1),
          max(mult for _, mult in torsion.cone_multiplicity_table(i - 1, "prime")))
         for i in range(1, 6)

@@ -316,3 +316,24 @@ def test_branch_candidate_is_the_pade_approximant(k):
     expected = [0] * (2 * k + 1) + [1]
     root = [sqrt_coeff(j) for j in range(k + 1)]
     assert _branch_residual(k, root) == TruncatedSeries(expected, 2 * k + 2)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_the_residual_is_built_in_integers(k):
+    root = [sqrt_coeff(j) for j in range(k + 1)]
+    assert all(type(c) is int for c in _branch_residual(k, root).coeffs)
+
+
+def test_a_solve_off_by_half_a_scaled_unit_fails_the_residual(monkeypatch):
+    # B_1 + 1/(2 4^k) times 4^k is not an integer: the residual says so
+    # rather than truncating it, and the other checks still run
+    def nudged(k):
+        sol = solve_branch_system(k)
+        b1 = sol.coeffs[-1]
+        return BranchCoefficients(k, sol.coeffs[:-1] + (ZMonomial(b1.coeff + Fraction(1, 2 * 4**k), 1),))
+
+    monkeypatch.setattr(hankel, "solve_branch_system", nudged)
+    report = run_suite("hankel", kmax=3)
+    assert len(report.checks) == 6
+    check = {c.name: c for c in report.checks}["hankel/residual[k<=3]"]
+    assert (check.lhs, check.rhs) == ("ValueError: -1/2 is not an integer after 0 cases", "no exception")

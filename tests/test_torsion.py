@@ -240,6 +240,6 @@ def test_torsion_degrees_wrong_past_h4_fails_verify(monkeypatch):
     failed = {c.name: (c.lhs, c.rhs) for c in run_suite("torsion", hmax=6).failures}
     assert failed == {
         "torsion/degrees_vs_cones[h<=6]": (
-            "2 of 10 cases differ, first at h=5,over_lambda_dblprime: 139/2", "69"
+            "2 of 10 cases differ, first at h=5,locus=over_lambda_dblprime: 139/2", "69"
         )
     }

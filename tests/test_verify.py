@@ -111,12 +111,40 @@ def test_a_failing_sweep_formats_its_first_failing_case_alone():
             formatted.append(self.n)
             return str(self.n)
 
-    check = verify._cases("signs", lambda i: f"i={i}", lambda: (
+    check = verify._cases("signs", "i", lambda: (
         ((i,), Value(i), Value(-i if i % 3 == 1 else i)) for i in range(10)
     ))
     assert not check.passed
     assert (check.lhs, check.rhs) == ("3 of 10 cases differ, first at i=1: 1", "-1")
     assert formatted == [1, -1]
+
+    # each field reads field=value, a tuple as a list; a field list of another
+    # length than the key fails the check
+    def pairs():
+        return (((i, (i, -i)), i, -i) for i in range(1, 3))
+
+    check = verify._cases("pairs", "i alphas", pairs)
+    assert check.lhs == "2 of 2 cases differ, first at i=1,alphas=[1, -1]: 1"
+    check = verify._cases("pairs", "i", pairs)
+    assert not check.passed
+    assert re.fullmatch(r"ValueError: .* after 2 cases", check.lhs)
+    assert check.rhs == "no exception"
+
+
+def test_every_sweep_names_one_field_per_entry_of_its_keys(monkeypatch):
+    # a field list of the wrong length would show only on a failing run
+    cases, fields = verify._cases, {}
+
+    def recording(name, names, produce):
+        fields[name] = names.split(), next(iter(produce()))[0]
+        return cases(name, names, produce)
+
+    monkeypatch.setattr(verify, "_cases", recording)
+    assert run_suite("all").passed
+    assert len(fields) == 32
+    assert {name: len(key) for name, (_, key) in fields.items()} == {
+        name: len(names) for name, (names, _) in fields.items()
+    }
 
 
 def test_a_failing_value_past_the_int_str_digit_limit_names_its_case(monkeypatch):
